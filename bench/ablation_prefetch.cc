@@ -44,18 +44,18 @@ double DemandOnly(PolicyKind policy) {
 double WithPrefetch() {
   const SimParams params = ReducedParams();
   des::Simulation sim;
-  auto program = BuildProgram(params);
-  BCAST_CHECK(program.ok());
-  auto layout = MakeDeltaLayout(params.disk_sizes, params.delta);
-  BCAST_CHECK(layout.ok());
-  auto mapping = Mapping::Make(*layout, 0, 0.0, Rng(params.seed).Split(2));
+  auto schedule = BuildSchedule(params);
+  BCAST_CHECK(schedule.ok());
+  const Rng master(params.seed);
+  auto mapping = Mapping::Make(schedule->layout, 0, 0.0,
+                               master.Split(internal::kNoiseStream));
   BCAST_CHECK(mapping.ok());
   auto gen = AccessGenerator::Make(params.access_range, params.region_size,
                                    params.theta, params.think_time,
                                    params.think_kind,
-                                   Rng(params.seed).Split(1));
+                                   master.Split(internal::kRequestStream));
   BCAST_CHECK(gen.ok());
-  BroadcastChannel channel(&sim, &*program);
+  BroadcastChannel channel(&sim, &schedule->program);
   PrefetchClient client(&sim, &channel, &*gen, &*mapping, kCacheSize,
                         PrefetchClientConfig{kMeasured, 200000});
   sim.Spawn(client.RunRequests());

@@ -239,25 +239,7 @@ int Run() {
     SimParams base;
     base.measured_requests = kRequests;
     base.seed = kSeed;
-    MultiClientParams params;
-    params.disk_sizes = base.disk_sizes;
-    params.delta = base.delta;
-    params.measured_requests = base.measured_requests;
-    params.seed = base.seed;
-    const uint64_t db = params.ServerDbSize();
-    for (uint64_t c = 0; c < 3; ++c) {
-      ClientSpec spec;
-      spec.access_range = base.access_range;
-      spec.theta = base.theta;
-      spec.region_size = base.region_size;
-      spec.cache_size = base.cache_size;
-      spec.policy = base.policy;
-      spec.offset = base.offset;
-      spec.noise_percent = base.noise_percent;
-      spec.think_time = base.think_time;
-      spec.interest_shift = db * c / 3;
-      params.clients.push_back(spec);
-    }
+    const MultiClientParams params = PopulationFromSimParams(base, 3);
     auto result = RunMultiClientSimulation(params);
     if (!result.ok()) {
       std::cerr << "population_d5_3c: " << result.status().ToString()

@@ -26,21 +26,16 @@ namespace {
 // the bench isolates the engine's per-client cost (world setup, DES
 // round, merge).
 MultiClientParams MakeBenchPopulation(uint64_t clients) {
-  MultiClientParams params;
-  params.disk_sizes = {100, 200};
-  params.delta = 2;
-  params.measured_requests = 3;
-  params.seed = 42;
-  const uint64_t db = params.ServerDbSize();
-  for (uint64_t c = 0; c < clients; ++c) {
-    ClientSpec spec;
-    spec.access_range = 150;
-    spec.region_size = 10;
-    spec.cache_size = 8;
-    spec.interest_shift = db * c / clients;
-    params.clients.push_back(spec);
-  }
-  return params;
+  SimParams base;
+  base.disk_sizes = {100, 200};
+  base.delta = 2;
+  base.measured_requests = 3;
+  base.seed = 42;
+  base.access_range = 150;
+  base.region_size = 10;
+  base.cache_size = 8;
+  base.policy = PolicyKind::kLix;
+  return PopulationFromSimParams(base, clients);
 }
 
 void RunPopulation(benchmark::State& state, uint64_t clients,

@@ -16,7 +16,14 @@ std::string DiskLayout::ToString() const {
   size_strs.reserve(sizes.size());
   for (uint64_t s : sizes) size_strs.push_back(std::to_string(s));
   for (uint64_t f : rel_freqs) freq_strs.push_back(std::to_string(f));
-  return "<" + Join(size_strs, ",") + ">@freqs{" + Join(freq_strs, ",") + "}";
+  // Appended piecewise: `"<" + std::string` trips GCC 12's -Wrestrict
+  // false positive at -O3.
+  std::string out = "<";
+  out += Join(size_strs, ",");
+  out += ">@freqs{";
+  out += Join(freq_strs, ",");
+  out += "}";
+  return out;
 }
 
 Status ValidateLayout(const DiskLayout& layout) {

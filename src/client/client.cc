@@ -68,7 +68,6 @@ void Client::TraceRequest(double start, PageId logical, bool hit,
 }
 
 des::Process Client::Run() {
-  obs::Stopwatch phase_watch;
   [[maybe_unused]] obs::TimelineWriter* const timeline =
       BCAST_TIMELINE_PTR(sim_);
   [[maybe_unused]] const uint32_t tl_track =
@@ -120,8 +119,6 @@ des::Process Client::Run() {
     }
     co_await sim_->Delay(gen_->NextThinkTime());
   }
-  warmup_wall_seconds_ = phase_watch.ElapsedSeconds();
-  phase_watch.Restart();
   BCAST_TIMELINE(timeline, EndSpan(tl_track, sim_->Now()));
   BCAST_TIMELINE(timeline, BeginSpan(tl_track, "measured", "phase",
                                      sim_->Now()));
@@ -195,7 +192,6 @@ des::Process Client::Run() {
     }
     co_await sim_->Delay(gen_->NextThinkTime());
   }
-  measured_wall_seconds_ = phase_watch.ElapsedSeconds();
   BCAST_TIMELINE(timeline, EndSpan(tl_track, sim_->Now()));
   finished_ = true;
 }

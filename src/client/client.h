@@ -25,7 +25,6 @@
 #include "core/metrics.h"
 #include "des/simulation.h"
 #include "obs/histogram.h"
-#include "obs/stopwatch.h"
 #include "obs/trace.h"
 
 namespace bcast {
@@ -113,13 +112,6 @@ class Client {
   uint64_t cold_requests() const { return cold_requests_; }
   uint64_t cold_hits() const { return cold_hits_; }
 
-  /// Wall-clock seconds the event loop spent inside this client's warm-up
-  /// and measured phases (attributed from the client's own coroutine;
-  /// with several concurrent clients the phases overlap and the numbers
-  /// include interleaved work of the others).
-  double warmup_wall_seconds() const { return warmup_wall_seconds_; }
-  double measured_wall_seconds() const { return measured_wall_seconds_; }
-
  private:
   /// True when \p disk is the slowest (cold) disk of a multi-disk
   /// program — the class whose latency the pull sweep gate tracks.
@@ -140,8 +132,6 @@ class Client {
   uint64_t cold_requests_ = 0;
   uint64_t cold_hits_ = 0;
   bool finished_ = false;
-  double warmup_wall_seconds_ = 0.0;
-  double measured_wall_seconds_ = 0.0;
 
   // Most recent eviction (victim + policy score), captured via the cache's
   // eviction callback while tracing; consumed by the next trace record.

@@ -11,7 +11,7 @@ Mapping Mapping::Identity(PageId num_pages) {
   BCAST_CHECK_GT(num_pages, 0u);
   std::vector<PageId> ident(num_pages);
   std::iota(ident.begin(), ident.end(), PageId{0});
-  return Mapping(ident, ident, ident);
+  return Mapping(ident, ident, 0);
 }
 
 Result<Mapping> Mapping::Make(const DiskLayout& layout, uint64_t offset,
@@ -41,7 +41,6 @@ Result<Mapping> Mapping::Make(const DiskLayout& layout, uint64_t offset,
     to_physical[l] =
         static_cast<PageId>((l + total - offset) % total);
   }
-  const std::vector<PageId> offset_only = to_physical;
 
   std::vector<PageId> to_logical(n);
   for (PageId l = 0; l < n; ++l) to_logical[to_physical[l]] = l;
@@ -78,16 +77,15 @@ Result<Mapping> Mapping::Make(const DiskLayout& layout, uint64_t offset,
     }
   }
 
-  return Mapping(std::move(to_physical), std::move(to_logical),
-                 std::move(offset_only));
-}
-
-uint64_t Mapping::PerturbedPages() const {
-  uint64_t count = 0;
-  for (PageId l = 0; l < num_pages(); ++l) {
-    if (to_physical_[l] != offset_only_[l]) ++count;
+  // The actual mismatch: pages whose image left the pure offset mapping
+  // (a swap can land a page back on its own slot).
+  uint64_t perturbed = 0;
+  if (noise.percent > 0.0) {
+    for (PageId l = 0; l < n; ++l) {
+      if (to_physical[l] != (l + total - offset) % total) ++perturbed;
+    }
   }
-  return count;
+  return Mapping(std::move(to_physical), std::move(to_logical), perturbed);
 }
 
 }  // namespace bcast

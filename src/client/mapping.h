@@ -102,18 +102,18 @@ class Mapping {
 
   /// Number of logical pages whose physical image differs from the pure
   /// offset mapping — the *actual* mismatch that Noise produced.
-  uint64_t PerturbedPages() const;
+  uint64_t PerturbedPages() const { return perturbed_pages_; }
 
  private:
   Mapping(std::vector<PageId> to_physical, std::vector<PageId> to_logical,
-          std::vector<PageId> offset_only)
+          uint64_t perturbed_pages)
       : to_physical_(std::move(to_physical)),
         to_logical_(std::move(to_logical)),
-        offset_only_(std::move(offset_only)) {}
+        perturbed_pages_(perturbed_pages) {}
 
   std::vector<PageId> to_physical_;
   std::vector<PageId> to_logical_;
-  std::vector<PageId> offset_only_;  // pre-noise mapping, for PerturbedPages
+  uint64_t perturbed_pages_;
 };
 
 }  // namespace bcast

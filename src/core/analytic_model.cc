@@ -21,14 +21,9 @@ Result<AnalyticPrediction> PredictResponse(const SimParams& params) {
         PolicyKindName(params.policy) + " is history-dependent");
   }
 
-  Result<DiskLayout> layout =
-      params.rel_freqs.empty()
-          ? MakeDeltaLayout(params.disk_sizes, params.delta)
-          : MakeLayout(params.disk_sizes, params.rel_freqs);
-  if (!layout.ok()) return layout.status();
-
-  Result<BroadcastProgram> program = BuildProgram(params);
-  if (!program.ok()) return program.status();
+  Result<ServerSchedule> schedule = BuildSchedule(params);
+  if (!schedule.ok()) return schedule.status();
+  const BroadcastProgram* const program = &schedule->program;
 
   // Identical noise realization to RunSimulation's.
   const Rng master(params.seed);
@@ -39,7 +34,7 @@ Result<AnalyticPrediction> PredictResponse(const SimParams& params) {
                          : 0;
   noise.destination = params.noise_destination;
   Result<Mapping> mapping =
-      Mapping::Make(*layout, params.offset, noise,
+      Mapping::Make(schedule->layout, params.offset, noise,
                     master.Split(internal::kNoiseStream));
   if (!mapping.ok()) return mapping.status();
 

@@ -8,15 +8,6 @@
 #include "common/logging.h"
 
 namespace bcast {
-namespace {
-
-// Sub-stream tags (see multi_client.cc: client c uses (c, kClientRequest)
-// and (c, kClientNoise) so adding/removing a client never disturbs
-// another's randomness).
-constexpr uint64_t kClientRequest = 1001;
-constexpr uint64_t kClientNoise = 1002;
-
-}  // namespace
 
 fault::FaultParams ScaledFaultParams(const fault::FaultParams& base,
                                      const ClientSpec& spec) {
@@ -38,7 +29,8 @@ Status BuildClientWorld(const MultiClientParams& params, size_t c,
               out != nullptr);
   const ClientSpec& spec = params.clients[c];
   const uint64_t total = deps.layout->TotalPages();
-  const Rng client_rng = master.Split(1000 + c);
+  const Rng client_rng =
+      deps.streams.per_client ? master.Split(1000 + c) : master;
   BCAST_TIMELINE(deps.timeline,
                  NameTrack(obs::track::Client(static_cast<uint32_t>(c)),
                            "client" + std::to_string(c)));
@@ -53,15 +45,16 @@ Status BuildClientWorld(const MultiClientParams& params, size_t c,
   noise.coin_pages = spec.noise_scope == NoiseScope::kAccessRange
                          ? spec.access_range
                          : 0;
+  noise.destination = spec.noise_destination;
   Result<Mapping> mapping =
       Mapping::Make(*deps.layout, effective_offset, noise,
-                    client_rng.Split(kClientNoise));
+                    client_rng.Split(deps.streams.noise));
   if (!mapping.ok()) return mapping.status();
   out->mapping = std::make_unique<Mapping>(std::move(*mapping));
 
   Result<AccessGenerator> gen = AccessGenerator::Make(
       spec.access_range, spec.region_size, spec.theta, spec.think_time,
-      spec.think_kind, client_rng.Split(kClientRequest));
+      spec.think_kind, client_rng.Split(deps.streams.request));
   if (!gen.ok()) return gen.status();
   out->gen = std::make_unique<AccessGenerator>(std::move(*gen));
 
@@ -115,9 +108,11 @@ Status BuildClientWorld(const MultiClientParams& params, size_t c,
   ClientRunConfig config;
   config.measured_requests = params.measured_requests;
   config.max_warmup_requests = params.max_warmup_requests;
+  config.knows_schedule = spec.knows_schedule;
   config.trace = deps.trace;
   config.receiver = out->receiver.get();
   config.pull = out->pull.get();
+  config.access = deps.access_monitor;
   config.client_id = static_cast<uint32_t>(c);
   if (deps.cold_pages != nullptr && !deps.cold_pages->empty()) {
     config.cold_pages = deps.cold_pages;
@@ -129,6 +124,69 @@ Status BuildClientWorld(const MultiClientParams& params, size_t c,
                                          out->cache.get(), out->gen.get(),
                                          out->mapping.get(), config);
   return Status::OK();
+}
+
+std::vector<bool> ColdPages(const MultiClientParams& params,
+                            const BroadcastProgram& program) {
+  std::vector<bool> cold;
+  if ((params.pull.Active() || params.adapt.Active()) &&
+      program.num_disks() > 1) {
+    const DiskIndex coldest = static_cast<DiskIndex>(program.num_disks() - 1);
+    cold.resize(params.ServerDbSize());
+    for (PageId p = 0; p < static_cast<PageId>(cold.size()); ++p) {
+      cold[p] = program.DiskOf(p) == coldest;
+    }
+  }
+  return cold;
+}
+
+void AddClientOutcome(const ClientWorld& world, MultiClientResult* result) {
+  const Client& client = *world.client;
+  result->per_client.push_back(client.metrics());
+  result->aggregate.Merge(client.metrics());
+  const double mean = client.metrics().mean_response_time();
+  result->mean_response_times.push_back(mean);
+  result->response_across_clients.Add(mean);
+  result->warmup_requests += client.warmup_requests();
+  result->perturbed_pages += world.mapping->PerturbedPages();
+  if (world.receiver != nullptr) {
+    result->faults.Merge(world.receiver->stats());
+    result->faults_active = true;
+  }
+  result->cold_requests += client.cold_requests();
+  result->cold_hits += client.cold_hits();
+}
+
+void AddToStatsSample(const ClientWorld& world, obs::StatsSample* s,
+                      double* rt_sum) {
+  const ClientMetrics& m = world.client->metrics();
+  s->requests += m.requests();
+  s->hits += m.cache_hits();
+  s->warmup_requests += world.client->warmup_requests();
+  *rt_sum += m.response_time().sum();
+  const std::vector<uint64_t>& per_disk = m.served_per_disk();
+  if (s->served_per_disk.size() < per_disk.size()) {
+    s->served_per_disk.resize(per_disk.size(), 0);
+  }
+  for (size_t d = 0; d < per_disk.size(); ++d) {
+    s->served_per_disk[d] += per_disk[d];
+  }
+  if (world.receiver != nullptr) {
+    s->fault_lost += world.receiver->stats().lost;
+    s->fault_retries += world.receiver->stats().retries;
+  }
+}
+
+void FinishStatsSample(const obs::StatsSample& prev, double prev_rt_sum,
+                       double rt_sum, obs::StatsSample* s) {
+  s->mean_rt =
+      s->requests > 0 ? rt_sum / static_cast<double>(s->requests) : 0.0;
+  s->win_requests = s->requests - prev.requests;
+  s->win_hits = s->hits - prev.hits;
+  s->win_mean_rt = s->win_requests > 0
+                       ? (rt_sum - prev_rt_sum) /
+                             static_cast<double>(s->win_requests)
+                       : 0.0;
 }
 
 }  // namespace bcast

@@ -4,8 +4,11 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
+#include <utility>
 
+#include "adapt/access_monitor.h"
 #include "adapt/controller.h"
 #include "adapt/loss_monitor.h"
 #include "broadcast/channel.h"
@@ -19,6 +22,7 @@
 #include "core/simulator.h"
 #include "des/simulation.h"
 #include "fault/fault_model.h"
+#include "fault/recovery.h"
 #include "obs/stats_stream.h"
 #include "obs/timeline.h"
 #include "pull/hybrid.h"
@@ -26,13 +30,6 @@
 #include "pull/pull_server.h"
 
 namespace bcast {
-namespace {
-
-// Sub-stream tag of the random-program draw. Per-client tags live in
-// core/client_world.cc with the shared assembly code.
-constexpr uint64_t kProgramStream = 3;
-
-}  // namespace
 
 // Each addend is non-increasing hottest-first, so the mean is too, as
 // the optimizers require.
@@ -57,11 +54,16 @@ Status MultiClientParams::Validate() const {
   if (clients.empty()) {
     return Status::InvalidArgument("population needs at least one client");
   }
+  BCAST_RETURN_IF_ERROR(ValidateServerParams(disk_sizes, delta, rel_freqs,
+                                             program_kind, optimizer, fault,
+                                             pull, adapt));
+  if (adapt.reopt && clients.size() > 1) {
+    return Status::InvalidArgument(
+        "measured-frequency re-optimization (--adapt_reopt) is "
+        "single-client only: a population has no one demand ranking "
+        "to re-seat by");
+  }
   const uint64_t db = ServerDbSize();
-  Result<DiskLayout> layout =
-      rel_freqs.empty() ? MakeDeltaLayout(disk_sizes, delta)
-                        : MakeLayout(disk_sizes, rel_freqs);
-  if (!layout.ok()) return layout.status();
   for (size_t c = 0; c < clients.size(); ++c) {
     const ClientSpec& spec = clients[c];
     const std::string who = "client " + std::to_string(c) + ": ";
@@ -97,130 +99,143 @@ Status MultiClientParams::Validate() const {
   if (measured_requests == 0) {
     return Status::InvalidArgument("measured_requests must be positive");
   }
-  if (FindScheduleOptimizer(optimizer) == nullptr) {
-    return Status::InvalidArgument(
-        "unknown optimizer: " + optimizer + " (delta|ksy|rbo)");
-  }
-  if (optimizer != "delta") {
-    if (program_kind != ProgramKind::kMultiDisk) {
-      return Status::InvalidArgument(
-          "--optimizer applies to the multi-disk program; use "
-          "--program=multidisk with --optimizer=" + optimizer);
-    }
-    if (!rel_freqs.empty()) {
-      return Status::InvalidArgument(
-          "explicit --freqs pin the schedule; they require "
-          "--optimizer=delta");
-    }
-  }
-  Status fault_status = fault.Validate();
-  if (!fault_status.ok()) return fault_status;
-  Status pull_status = pull.Validate();
-  if (!pull_status.ok()) return pull_status;
-  if (pull.Active() && program_kind != ProgramKind::kMultiDisk) {
-    return Status::InvalidArgument(
-        "pull slots interleave into the multi-disk program's minor "
-        "cycles; use the multi-disk program with pull");
-  }
-  if (pull.Active() && optimizer == "rbo") {
-    return Status::InvalidArgument(
-        "pull slots interleave into chunked minor cycles, which "
-        "bit-reversal schedules do not have; use --optimizer=delta or "
-        "ksy with pull");
-  }
-  Status adapt_status = adapt.Validate();
-  if (!adapt_status.ok()) return adapt_status;
-  if (adapt.Active()) {
-    if (program_kind != ProgramKind::kMultiDisk) {
-      return Status::InvalidArgument(
-          "the adaptive controller regenerates the multi-disk program; "
-          "use the multi-disk program with adaptation");
-    }
-    if (adapt.reopt) {
-      return Status::InvalidArgument(
-          "measured-frequency re-optimization (--adapt_reopt) is "
-          "single-client only: a population has no one demand ranking "
-          "to re-seat by");
-    }
-    if (!fault.Active() && !pull.Active()) {
-      return Status::InvalidArgument(
-          "adaptation needs a signal to adapt to: enable the fault model "
-          "for frequency repair or pull for slot control");
-    }
-  }
   return Status::OK();
 }
 
-Result<MultiClientResult> RunMultiClientSimulation(
-    const MultiClientParams& params) {
-  return RunMultiClientSimulation(params, SimObservers{});
+MultiClientParams PopulationFromSimParams(const SimParams& base,
+                                          uint64_t clients) {
+  MultiClientParams params;
+  params.disk_sizes = base.disk_sizes;
+  params.delta = base.delta;
+  params.rel_freqs = base.rel_freqs;
+  params.program_kind = base.program_kind;
+  params.optimizer = base.optimizer;
+  params.measured_requests = base.measured_requests;
+  params.max_warmup_requests = base.max_warmup_requests;
+  params.seed = base.seed;
+  params.des_queue = base.des_queue;
+  params.fault = base.fault;
+  params.pull = base.pull;
+  params.adapt = base.adapt;
+  ClientSpec spec;
+  spec.access_range = base.access_range;
+  spec.theta = base.theta;
+  spec.region_size = base.region_size;
+  spec.offset = base.offset;
+  spec.noise_percent = base.noise_percent;
+  spec.noise_scope = base.noise_scope;
+  spec.noise_destination = base.noise_destination;
+  spec.cache_size = base.cache_size;
+  spec.policy = base.policy;
+  spec.policy_options = base.policy_options;
+  spec.think_time = base.think_time;
+  spec.think_kind = base.think_kind;
+  spec.knows_schedule = base.knows_schedule;
+  params.clients.assign(clients, spec);
+  const uint64_t db = params.ServerDbSize();
+  for (uint64_t c = 0; c < clients; ++c) {
+    params.clients[c].interest_shift = db * c / clients;
+  }
+  return params;
+}
+
+namespace {
+
+// The push-only schedule of BuildPopulationSchedule.
+Result<ServerSchedule> BuildPushSchedule(const MultiClientParams& params) {
+  if (params.program_kind == ProgramKind::kMultiDisk) {
+    const ScheduleOptimizer* optimizer =
+        FindScheduleOptimizer(params.optimizer);
+    if (optimizer == nullptr) {
+      return Status::InvalidArgument("unknown optimizer: " +
+                                     params.optimizer + " (delta|ksy|rbo)");
+    }
+    OptimizerRequest request;
+    request.disk_sizes = params.disk_sizes;
+    request.rel_freqs = params.rel_freqs;
+    request.delta = params.delta;
+    // The delta optimizer works without probabilities (and skipping them
+    // keeps its historical build path byte-for-byte); the others derive
+    // their frequencies from the population's mean nominal demand.
+    if (params.optimizer != "delta") {
+      request.probs = PopulationNominalProbs(params);
+    }
+    Result<OptimizedSchedule> built = optimizer->Build(request);
+    if (!built.ok()) return built.status();
+    return ServerSchedule{std::move(built->layout), std::move(built->program),
+                          {}, built->predicted_delay};
+  }
+  // The skewed/random study programs bypass the optimizer frontier; they
+  // exist to ablate the multi-disk construction, not to compete with it.
+  Result<DiskLayout> layout =
+      params.rel_freqs.empty()
+          ? MakeDeltaLayout(params.disk_sizes, params.delta)
+          : MakeLayout(params.disk_sizes, params.rel_freqs);
+  if (!layout.ok()) return layout.status();
+  Result<BroadcastProgram> program = [&]() -> Result<BroadcastProgram> {
+    if (params.program_kind == ProgramKind::kSkewed) {
+      return GenerateSkewedProgram(*layout);
+    }
+    // Match the multi-disk program's period so bandwidth and cycle
+    // length are comparable.
+    Result<BroadcastProgram> reference = GenerateMultiDiskProgram(*layout);
+    if (!reference.ok()) return reference.status();
+    Rng rng = Rng(params.seed).Split(internal::kProgramStream);
+    return GenerateRandomProgram(*layout, reference->period(), &rng);
+  }();
+  if (!program.ok()) return program.status();
+  return ServerSchedule{std::move(*layout), std::move(*program), {}, 0.0};
+}
+
+}  // namespace
+
+Result<ServerSchedule> BuildPopulationSchedule(const MultiClientParams& params,
+                                               bool with_pull) {
+  Result<ServerSchedule> schedule = BuildPushSchedule(params);
+  if (!schedule.ok() || !with_pull || !params.pull.Active()) return schedule;
+  Result<pull::HybridProgram> hybrid =
+      pull::GenerateHybridProgram(schedule->layout, params.pull.pull_slots);
+  if (!hybrid.ok()) return hybrid.status();
+  schedule->hybrid = std::move(hybrid->layout);
+  schedule->program = std::move(hybrid->program);
+  return schedule;
+}
+
+std::function<Result<BroadcastProgram>(const DiskLayout&)> RebuildProgramFor(
+    const std::string& optimizer, const BroadcastProgram* seat_program) {
+  if (optimizer != "rbo") return nullptr;
+  return [seat_program](const DiskLayout&) -> Result<BroadcastProgram> {
+    return BroadcastProgram(*seat_program);
+  };
 }
 
 Result<MultiClientResult> RunMultiClientSimulation(
     const MultiClientParams& params, const SimObservers& observers) {
+  return internal::RunInSimPopulation(params, observers,
+                                      internal::kPopulationStreams);
+}
+
+namespace internal {
+
+Result<MultiClientResult> RunInSimPopulation(const MultiClientParams& params,
+                                             const SimObservers& observers,
+                                             const ClientStreamKeys& streams) {
   obs::Stopwatch total_watch;
   obs::PhaseTimings timings;
 
   BCAST_RETURN_IF_ERROR(params.Validate());
 
-  const Rng master(params.seed);
-  // The configured optimizer designs layout and program together. With
-  // active pull params the air carries the hybrid program: the
-  // optimizer's program with pull slots interleaved into every minor
-  // cycle (slot-identical to the plain program when pull_slots == 0).
-  pull::HybridLayout hybrid_layout;
-  Result<ServerSchedule> schedule = [&]() -> Result<ServerSchedule> {
+  Result<ServerSchedule> schedule = [&]() {
     obs::ScopedTimer timer(&timings.build_program_seconds);
-    if (params.program_kind == ProgramKind::kMultiDisk) {
-      const ScheduleOptimizer* optimizer =
-          FindScheduleOptimizer(params.optimizer);
-      BCAST_CHECK(optimizer != nullptr);  // Validate() vetted the name
-      OptimizerRequest request;
-      request.disk_sizes = params.disk_sizes;
-      request.rel_freqs = params.rel_freqs;
-      request.delta = params.delta;
-      // As in BuildSchedule: delta skips the probabilities (its
-      // historical build path stays byte-for-byte); the others derive
-      // their frequencies from the population's mean nominal demand.
-      if (params.optimizer != "delta") {
-        request.probs = PopulationNominalProbs(params);
-      }
-      Result<OptimizedSchedule> built = optimizer->Build(request);
-      if (!built.ok()) return built.status();
-      ServerSchedule out{std::move(built->layout), std::move(built->program),
-                         built->predicted_delay};
-      if (params.pull.Active()) {
-        Result<pull::HybridProgram> hybrid = pull::GenerateHybridProgram(
-            out.layout, params.pull.pull_slots);
-        if (!hybrid.ok()) return hybrid.status();
-        hybrid_layout = std::move(hybrid->layout);
-        out.program = std::move(hybrid->program);
-      }
-      return out;
-    }
-    Result<DiskLayout> layout =
-        params.rel_freqs.empty()
-            ? MakeDeltaLayout(params.disk_sizes, params.delta)
-            : MakeLayout(params.disk_sizes, params.rel_freqs);
-    if (!layout.ok()) return layout.status();
-    Result<BroadcastProgram> program = [&]() -> Result<BroadcastProgram> {
-      if (params.program_kind == ProgramKind::kSkewed) {
-        return GenerateSkewedProgram(*layout);
-      }
-      Result<BroadcastProgram> reference = GenerateMultiDiskProgram(*layout);
-      if (!reference.ok()) return reference.status();
-      Rng rng = master.Split(kProgramStream);
-      return GenerateRandomProgram(*layout, reference->period(), &rng);
-    }();
-    if (!program.ok()) return program.status();
-    return ServerSchedule{std::move(*layout), std::move(*program), 0.0};
+    return BuildPopulationSchedule(params, /*with_pull=*/true);
   }();
   if (!schedule.ok()) return schedule.status();
   const DiskLayout* const layout = &schedule->layout;
-  BroadcastProgram* const program = &schedule->program;
+  const BroadcastProgram* const program = &schedule->program;
 
   const uint64_t total = layout->TotalPages();
   obs::Stopwatch setup_watch;
+  const Rng master(params.seed);
   const des::QueueBackend resolved_queue = des::ResolveQueueBackend(
       params.des_queue, /*expected_clients=*/params.clients.size());
   des::Simulation sim(resolved_queue);
@@ -228,15 +243,17 @@ Result<MultiClientResult> RunMultiClientSimulation(
   sim.AttachTimeline(observers.timeline);
   BCAST_TIMELINE(observers.timeline,
                  NameTrack(obs::track::kSim, "des"));
-  BroadcastChannel channel(&sim, &*program);
+  BroadcastChannel channel(&sim, program);
 
   // One pull server is shared by the whole population: the backchannel
   // and request queue are server-side resources, so clients contend for
   // uplink slots and benefit from each other's pulls (a page one client
-  // requested resumes every waiter).
+  // requested resumes every waiter). With zero pull slots the server is
+  // inert (never attached, never scheduling), so the forced
+  // zero-capacity path stays bit-identical to pure push.
   std::unique_ptr<pull::PullServer> pull_server;
   if (params.pull.Active()) {
-    pull_server = std::make_unique<pull::PullServer>(&sim, hybrid_layout,
+    pull_server = std::make_unique<pull::PullServer>(&sim, schedule->hybrid,
                                                      params.pull);
     if (pull_server->enabled()) channel.AttachPullServer(pull_server.get());
     BCAST_TIMELINE(observers.timeline,
@@ -247,38 +264,26 @@ Result<MultiClientResult> RunMultiClientSimulation(
   // server-side resource like the pull server — one per run, shared by
   // every receiver, because the server's trouble is common-mode across
   // the population. Built only when the axes are on.
-  std::unique_ptr<fault::ServerFaultPlane> server_faults;
-  if (params.fault.process.ServerActive()) {
-    Rng salt_rng = fault::FaultStream(Rng(params.fault.fault_seed),
-                                      /*client_id=*/0,
-                                      fault::Purpose::kJitter);
-    server_faults = std::make_unique<fault::ServerFaultPlane>(
-        params.fault.process,
-        fault::FaultStream(Rng(params.fault.fault_seed), /*client_id=*/0,
-                           fault::Purpose::kStall),
-        salt_rng.Next());
-  }
+  std::unique_ptr<fault::ServerFaultPlane> server_faults =
+      fault::MakeServerFaultPlane(params.fault);
 
-  // Cold-page set pinned to the initial program (see RunSimulation).
-  std::vector<bool> cold_pages;
-  if ((params.pull.Active() || params.adapt.Active()) &&
-      program->num_disks() > 1) {
-    const DiskIndex coldest =
-        static_cast<DiskIndex>(program->num_disks() - 1);
-    cold_pages.resize(total);
-    for (PageId p = 0; p < static_cast<PageId>(total); ++p) {
-      cold_pages[p] = program->DiskOf(p) == coldest;
-    }
-  }
+  const std::vector<bool> cold_pages = ColdPages(params, *program);
   // The adaptive control plane is population-wide: one loss monitor
   // aggregates every receiver's failures (the server sees the union),
-  // and one controller steers the shared program and pull split.
+  // one demand monitor (--adapt_reopt, a population of one) counts the
+  // client's fetches, and one controller steers the shared program and
+  // pull split. Nothing is built (and no event scheduled) when off.
   std::unique_ptr<adapt::LossMonitor> loss_monitor;
+  std::unique_ptr<adapt::AccessMonitor> access_monitor;
   std::unique_ptr<adapt::Controller> controller;
   if (params.adapt.Active()) {
     if (params.fault.Active()) {
       loss_monitor =
           std::make_unique<adapt::LossMonitor>(static_cast<PageId>(total));
+    }
+    if (params.adapt.reopt) {
+      access_monitor =
+          std::make_unique<adapt::AccessMonitor>(static_cast<PageId>(total));
     }
     adapt::Controller::Hooks hooks;
     hooks.channel = &channel;
@@ -286,6 +291,8 @@ Result<MultiClientResult> RunMultiClientSimulation(
                      ? pull_server.get()
                      : nullptr;
     hooks.loss = loss_monitor.get();
+    hooks.access = access_monitor.get();
+    hooks.make_program = RebuildProgramFor(params.optimizer, program);
     controller = std::make_unique<adapt::Controller>(&sim, *layout,
                                                      params.adapt, hooks);
     BCAST_TIMELINE(observers.timeline,
@@ -298,14 +305,16 @@ Result<MultiClientResult> RunMultiClientSimulation(
   ClientWorldDeps deps;
   deps.sim = &sim;
   deps.channel = &channel;
-  deps.layout = &*layout;
-  deps.program = &*program;
-  deps.hybrid = &hybrid_layout;
+  deps.layout = layout;
+  deps.program = program;
+  deps.hybrid = &schedule->hybrid;
   deps.timeline = observers.timeline;
   deps.trace = observers.trace;
   deps.loss_monitor = loss_monitor.get();
+  deps.access_monitor = access_monitor.get();
   deps.server_faults = server_faults.get();
   deps.cold_pages = &cold_pages;
+  deps.streams = streams;
   if (pull_server != nullptr) {
     // Each client gets its own requester; the in-flight uplink loss
     // draw comes from the (client id, kUplink) fault sub-stream so
@@ -338,54 +347,31 @@ Result<MultiClientResult> RunMultiClientSimulation(
   timings.setup_seconds = setup_watch.ElapsedSeconds();
 
   // The population-wide stats sampler: one snapshot aggregates every
-  // client's totals — the same view MakePopulationRunReport summarizes,
-  // so a stream summary reproduces the report's headline numbers. As in
-  // the single-client runner it is the one observer that *does* add DES
-  // events (tagged kStats); the tick re-arms only while some client is
-  // still running, so Run() can drain the queue and return.
-  uint64_t stats_prev_requests = 0;
-  uint64_t stats_prev_hits = 0;
-  double stats_prev_rt_sum = 0.0;
+  // client's totals — the same view the run reports summarize, so a
+  // stream summary reproduces the report's headline numbers. It is the
+  // one observer that *does* add DES events (tagged kStats, visible in
+  // events_dispatched), so golden comparisons keep it off. The tick
+  // re-arms only while some client is still running — a perpetual
+  // event would keep the queue non-empty and Run() would never return.
+  obs::StatsSample prev;
+  double prev_rt_sum = 0.0;
   auto take_stats_sample = [&](bool final_sample) {
     obs::StatsSample s;
     s.t = sim.Now();
     s.wall_seconds = observers.stats->ElapsedSeconds();
     s.events = sim.events_dispatched();
     double rt_sum = 0.0;
-    for (const auto& world : worlds) {
-      const ClientMetrics& m = world.client->metrics();
-      s.requests += m.requests();
-      s.hits += m.cache_hits();
-      s.warmup_requests += world.client->warmup_requests();
-      rt_sum += m.response_time().sum();
-      const std::vector<uint64_t>& per_disk = m.served_per_disk();
-      if (s.served_per_disk.size() < per_disk.size()) {
-        s.served_per_disk.resize(per_disk.size(), 0);
-      }
-      for (size_t d = 0; d < per_disk.size(); ++d) {
-        s.served_per_disk[d] += per_disk[d];
-      }
-      if (world.receiver != nullptr) {
-        s.fault_lost += world.receiver->stats().lost;
-        s.fault_retries += world.receiver->stats().retries;
-      }
+    for (const ClientWorld& world : worlds) {
+      AddToStatsSample(world, &s, &rt_sum);
     }
-    s.mean_rt =
-        s.requests > 0 ? rt_sum / static_cast<double>(s.requests) : 0.0;
-    s.win_requests = s.requests - stats_prev_requests;
-    s.win_hits = s.hits - stats_prev_hits;
-    s.win_mean_rt = s.win_requests > 0
-                        ? (rt_sum - stats_prev_rt_sum) /
-                              static_cast<double>(s.win_requests)
-                        : 0.0;
+    FinishStatsSample(prev, prev_rt_sum, rt_sum, &s);
     if (pull_server != nullptr) {
       s.pull_queue_depth = pull_server->queue_depth();
       s.pull_serviced = pull_server->stats().serviced_pages;
     }
     s.final_sample = final_sample;
-    stats_prev_requests = s.requests;
-    stats_prev_hits = s.hits;
-    stats_prev_rt_sum = rt_sum;
+    prev = s;
+    prev_rt_sum = rt_sum;
     observers.stats->Write(s);
   };
   std::function<void()> stats_tick;
@@ -404,9 +390,11 @@ Result<MultiClientResult> RunMultiClientSimulation(
     sim.Schedule(interval, stats_tick, des::EventKind::kStats);
   }
 
-  // Schedule-version bumps (see RunSimulation): the server re-announces
-  // its program every version_every slots, re-arming every in-flight
-  // wait across the whole population through the resync path.
+  // Schedule-version bumps: every version_every slots the server
+  // re-announces its program (same content, new epoch), which re-arms
+  // every in-flight wait across the whole population through the resync
+  // path — a program switch as a fault source mid-tune. The tick re-arms
+  // only while some client runs, like the stats sampler.
   uint64_t version_bumps = 0;
   std::function<void()> version_tick;
   if (params.fault.process.version_every > 0.0) {
@@ -426,16 +414,20 @@ Result<MultiClientResult> RunMultiClientSimulation(
   for (auto& world : worlds) sim.Spawn(world.client->Run());
   if (controller != nullptr) controller->Start();
   if (observers.horizon > 0.0) {
-    // Bounded run (chaos no-hang check): an unfinished client at the
-    // horizon is a liveness violation, reported instead of aborting.
+    // Bounded run (the chaos harness's no-hang check): an unfinished
+    // client at the horizon is a liveness violation, reported as an
+    // error instead of aborting the process.
     sim.RunUntil(observers.horizon);
     for (size_t c = 0; c < worlds.size(); ++c) {
-      if (!worlds[c].client->finished()) {
+      const Client& client = *worlds[c].client;
+      if (!client.finished()) {
         return Status::Internal(StrFormat(
             "no-hang violation: client %zu unfinished at horizon %.0f "
-            "(t=%.0f, events=%llu)",
+            "(t=%.0f, events=%llu, measured %llu/%llu requests)",
             c, observers.horizon, sim.Now(),
-            static_cast<unsigned long long>(sim.events_dispatched())));
+            static_cast<unsigned long long>(sim.events_dispatched()),
+            static_cast<unsigned long long>(client.metrics().requests()),
+            static_cast<unsigned long long>(params.measured_requests)));
       }
     }
   } else {
@@ -448,17 +440,7 @@ Result<MultiClientResult> RunMultiClientSimulation(
   for (size_t c = 0; c < worlds.size(); ++c) {
     BCAST_CHECK(worlds[c].client->finished())
         << "client " << c << " did not finish";
-    result.per_client.push_back(worlds[c].client->metrics());
-    result.aggregate.Merge(worlds[c].client->metrics());
-    const double mean = worlds[c].client->metrics().mean_response_time();
-    result.mean_response_times.push_back(mean);
-    result.response_across_clients.Add(mean);
-    if (worlds[c].receiver != nullptr) {
-      result.faults.Merge(worlds[c].receiver->stats());
-      result.faults_active = true;
-    }
-    result.cold_requests += worlds[c].client->cold_requests();
-    result.cold_hits += worlds[c].client->cold_hits();
+    AddClientOutcome(worlds[c], &result);
   }
   // Version bumps are a per-run fact, not a per-client sum: assign after
   // the merges (each receiver contributes zero).
@@ -474,6 +456,8 @@ Result<MultiClientResult> RunMultiClientSimulation(
     result.adapt_stats = controller->stats();
     result.adapt_active = true;
   }
+  result.period = program->period();
+  result.empty_slots = program->EmptySlots();
   result.end_time = sim.Now();
   result.events_dispatched = sim.events_dispatched();
   result.predicted_delay = schedule->predicted_delay;
@@ -487,6 +471,8 @@ Result<MultiClientResult> RunMultiClientSimulation(
   return result;
 }
 
+}  // namespace internal
+
 obs::RunReport MakePopulationRunReport(const MultiClientParams& params,
                                        const MultiClientResult& result,
                                        const std::string& config,
@@ -498,6 +484,7 @@ obs::RunReport MakePopulationRunReport(const MultiClientParams& params,
   report.optimizer = params.optimizer;
   report.seed = params.seed;
   report.requests = result.aggregate.requests();
+  report.warmup_requests = result.warmup_requests;
   report.cache_hits = result.aggregate.cache_hits();
   report.response = result.aggregate.response_histogram().Summary();
   report.tuning = result.aggregate.tuning_histogram().Summary();
@@ -513,9 +500,13 @@ obs::RunReport MakePopulationRunReport(const MultiClientParams& params,
       {"population_mean_rt", result.response_across_clients.mean()},
       {"population_min_rt", min_rt},
       {"population_max_rt", result.response_across_clients.max()},
-      {"fairness_max_over_min",
-       min_rt > 0.0 ? result.response_across_clients.max() / min_rt : 0.0},
   };
+  // A client that never waited makes the ratio undefined, not "perfectly
+  // fair": the extra is left out.
+  if (min_rt > 0.0) {
+    report.extra.emplace_back("fairness_max_over_min",
+                              result.response_across_clients.max() / min_rt);
+  }
   // Per-client response-time distributions: the fairness extras above
   // only summarize means, but a client can share the population mean
   // while suffering a far heavier tail (e.g. when its interest lives on

@@ -20,6 +20,7 @@
 #define BCAST_CORE_MULTI_CLIENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,8 @@ struct ClientSpec {
   uint64_t offset = 0;
   double noise_percent = 0.0;
   NoiseScope noise_scope = NoiseScope::kAccessRange;
+  NoiseModel::Destination noise_destination =
+      NoiseModel::Destination::kUniformDisk;
 
   /// Cache and policy.
   uint64_t cache_size = 500;
@@ -65,6 +68,10 @@ struct ClientSpec {
   /// Think-time model.
   double think_time = 2.0;
   ThinkTimeKind think_kind = ThinkTimeKind::kFixed;
+
+  /// Whether the client knows the broadcast schedule (tuning metric
+  /// only; see ClientRunConfig::knows_schedule).
+  bool knows_schedule = false;
 
   /// Receiver-class scaling of the population-shared fault knobs: this
   /// client's channel/uplink loss probabilities are `fault.loss *
@@ -154,10 +161,54 @@ struct MultiClientParams {
   Status Validate() const;
 };
 
+/// \brief The population of \p clients identical clients a `SimParams`
+/// template describes: the server side (disks, program, optimizer,
+/// faults, pull, adaptation, run control) copied over, every client knob
+/// (workload, mapping offset and noise, cache and policy, think time,
+/// schedule knowledge) stamped into each spec, and client c's interest
+/// shifted to physical page `DBSize * c / clients` — spread evenly, so
+/// client 0 is the template's own client. `clients == 1` is exactly the
+/// single-client run.
+MultiClientParams PopulationFromSimParams(const SimParams& base,
+                                          uint64_t clients);
+
+/// \brief Builds the schedule \p params' server puts on the air — the
+/// one schedule construction every runner shares. For the multi-disk
+/// program the configured `ScheduleOptimizer` ("delta", "ksy", "rbo")
+/// designs layout and program together (non-delta optimizers against
+/// `PopulationNominalProbs`); the skewed and random study programs
+/// bypass the optimizer and carry the Delta-rule (or explicit-frequency)
+/// layout. With \p with_pull and active pull params the program is the
+/// hybrid one — pull slots interleaved into every minor cycle — and
+/// `hybrid` holds its layout. Does not validate \p params.
+Result<ServerSchedule> BuildPopulationSchedule(const MultiClientParams& params,
+                                               bool with_pull);
+
+/// \brief The adaptive controller's push-only rebuild generator for
+/// \p optimizer (`adapt::Controller::Hooks::make_program`). Empty for
+/// delta and ksy, whose layouts carry integer relative frequencies, so
+/// the controller's default `GenerateMultiDiskProgram` applies. A
+/// bit-reversal schedule has no chunked minor cycles, so for rbo every
+/// rebuild re-seats a copy of \p seat_program (the run's initial
+/// program; the geometry never changes mid-run). \p seat_program must
+/// outlive the controller.
+std::function<Result<BroadcastProgram>(const DiskLayout&)> RebuildProgramFor(
+    const std::string& optimizer, const BroadcastProgram* seat_program);
+
 /// \brief Per-population results.
 struct MultiClientResult {
   /// Per-client metrics, in `clients` order.
   std::vector<ClientMetrics> per_client;
+
+  /// Requests the clients spent warming their caches, summed.
+  uint64_t warmup_requests = 0;
+
+  /// Logical pages whose mapping Noise moved, summed over the clients.
+  uint64_t perturbed_pages = 0;
+
+  /// Period and empty slots of the initial program on the air.
+  uint64_t period = 0;
+  uint64_t empty_slots = 0;
 
   /// Mean response time of each client (convenience).
   std::vector<double> mean_response_times;
@@ -217,18 +268,45 @@ struct MultiClientResult {
   bool profile_active = false;
 };
 
-/// \brief Runs the population against one shared broadcast.
-/// Deterministic in `params.seed`.
-Result<MultiClientResult> RunMultiClientSimulation(
-    const MultiClientParams& params);
+namespace internal {
 
-/// \brief Same, with observability hooks attached. Trace records carry
-/// each issuer's client index; timeline spans land on per-client tracks;
-/// the stats stream samples population-wide totals. As in the
-/// single-client runner, only the stats sampler adds DES events — every
-/// other observer leaves the run bit-identical.
+/// \brief The RNG sub-stream keys a client world draws its request
+/// stream and mapping noise from.
+struct ClientStreamKeys {
+  /// Whether client c draws under `master.Split(1000 + c)` — population
+  /// runs, where adding a client never disturbs another's randomness —
+  /// or straight from the master.
+  bool per_client;
+  uint64_t request;
+  uint64_t noise;
+};
+
+/// Population runs: (client c, purpose)-keyed streams.
+inline constexpr ClientStreamKeys kPopulationStreams{true, 1001, 1002};
+
+/// The single-client run: the master's own request and noise streams,
+/// which every single-mode golden (and the analytic model) is keyed by.
+inline constexpr ClientStreamKeys kSingleClientStreams{
+    false, kRequestStream, kNoiseStream};
+
+/// \brief The in-simulation population runner: one DES, one channel, one
+/// server-side fault plane, pull server and controller, and every
+/// client's world on them. `RunMultiClientSimulation` calls it with
+/// `kPopulationStreams`; `RunSimulation` runs a population of one with
+/// `kSingleClientStreams`.
+Result<MultiClientResult> RunInSimPopulation(const MultiClientParams& params,
+                                             const SimObservers& observers,
+                                             const ClientStreamKeys& streams);
+
+}  // namespace internal
+
+/// \brief Runs the population against one shared broadcast.
+/// Deterministic in `params.seed`. Trace records carry each issuer's
+/// client index; timeline spans land on per-client tracks; the stats
+/// stream samples population-wide totals. Only the stats sampler adds
+/// DES events — every other observer leaves the run bit-identical.
 Result<MultiClientResult> RunMultiClientSimulation(
-    const MultiClientParams& params, const SimObservers& observers);
+    const MultiClientParams& params, const SimObservers& observers = {});
 
 /// \brief Renders a population run as a run report (mode "population"):
 /// aggregate counts and distributions plus per-population fairness

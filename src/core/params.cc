@@ -13,7 +13,14 @@ uint64_t SimParams::ServerDbSize() const {
   return std::accumulate(disk_sizes.begin(), disk_sizes.end(), uint64_t{0});
 }
 
-Status SimParams::Validate() const {
+Status ValidateServerParams(const std::vector<uint64_t>& disk_sizes,
+                            uint64_t delta,
+                            const std::vector<uint64_t>& rel_freqs,
+                            ProgramKind program_kind,
+                            const std::string& optimizer,
+                            const fault::FaultParams& fault,
+                            const pull::PullParams& pull,
+                            const adapt::AdaptParams& adapt) {
   if (disk_sizes.empty()) {
     return Status::InvalidArgument("disk_sizes must not be empty");
   }
@@ -23,33 +30,6 @@ Status SimParams::Validate() const {
   if (!rel_freqs.empty() && rel_freqs.size() != disk_sizes.size()) {
     return Status::InvalidArgument(
         "rel_freqs must match disk_sizes in length (or be empty)");
-  }
-  const uint64_t db = ServerDbSize();
-  if (access_range == 0 || access_range > db) {
-    return Status::InvalidArgument(
-        "access_range must be in [1, ServerDBSize]");
-  }
-  if (region_size == 0) {
-    return Status::InvalidArgument("region_size must be positive");
-  }
-  if (theta < 0.0 || !std::isfinite(theta)) {
-    return Status::InvalidArgument("theta must be finite and >= 0");
-  }
-  if (cache_size == 0) {
-    return Status::InvalidArgument(
-        "cache_size must be >= 1 (1 disables caching)");
-  }
-  if (think_time < 0.0 || !std::isfinite(think_time)) {
-    return Status::InvalidArgument("think_time must be finite and >= 0");
-  }
-  if (offset > db) {
-    return Status::InvalidArgument("offset must be <= ServerDBSize");
-  }
-  if (noise_percent < 0.0 || noise_percent > 100.0) {
-    return Status::InvalidArgument("noise_percent must be in [0, 100]");
-  }
-  if (measured_requests == 0) {
-    return Status::InvalidArgument("measured_requests must be positive");
   }
   if (FindScheduleOptimizer(optimizer) == nullptr) {
     return Status::InvalidArgument(
@@ -99,10 +79,44 @@ Status SimParams::Validate() const {
     }
   }
   // Delegate frequency validation to the layout builder.
-  Result<DiskLayout> layout =
-      rel_freqs.empty() ? MakeDeltaLayout(disk_sizes, delta)
-                        : MakeLayout(disk_sizes, rel_freqs);
+  Result<DiskLayout> layout = rel_freqs.empty()
+                                  ? MakeDeltaLayout(disk_sizes, delta)
+                                  : MakeLayout(disk_sizes, rel_freqs);
   if (!layout.ok()) return layout.status();
+  return Status::OK();
+}
+
+Status SimParams::Validate() const {
+  BCAST_RETURN_IF_ERROR(ValidateServerParams(disk_sizes, delta, rel_freqs,
+                                             program_kind, optimizer, fault,
+                                             pull, adapt));
+  const uint64_t db = ServerDbSize();
+  if (access_range == 0 || access_range > db) {
+    return Status::InvalidArgument(
+        "access_range must be in [1, ServerDBSize]");
+  }
+  if (region_size == 0) {
+    return Status::InvalidArgument("region_size must be positive");
+  }
+  if (theta < 0.0 || !std::isfinite(theta)) {
+    return Status::InvalidArgument("theta must be finite and >= 0");
+  }
+  if (cache_size == 0) {
+    return Status::InvalidArgument(
+        "cache_size must be >= 1 (1 disables caching)");
+  }
+  if (think_time < 0.0 || !std::isfinite(think_time)) {
+    return Status::InvalidArgument("think_time must be finite and >= 0");
+  }
+  if (offset > db) {
+    return Status::InvalidArgument("offset must be <= ServerDBSize");
+  }
+  if (noise_percent < 0.0 || noise_percent > 100.0) {
+    return Status::InvalidArgument("noise_percent must be in [0, 100]");
+  }
+  if (measured_requests == 0) {
+    return Status::InvalidArgument("measured_requests must be positive");
+  }
   return Status::OK();
 }
 
@@ -124,18 +138,20 @@ std::string SimParams::ToString() const {
     summary += " optimizer=" + optimizer;
   }
   // Faults extend the identity string only when active, so every
-  // pre-fault config string (and golden baseline) is untouched.
+  // pre-fault config string (and golden baseline) is untouched. (Appended
+  // piecewise: `" " + std::string` trips GCC 12's -Wrestrict false
+  // positive at -O3.)
   if (fault.Active()) {
-    summary += " " + fault.ToString();
+    summary.append(" ").append(fault.ToString());
   }
   // Same contract for pull: the identity string only grows when the
   // hybrid machinery is on, so pure-push goldens never shift.
   if (pull.Active()) {
-    summary += " " + pull.ToString();
+    summary.append(" ").append(pull.ToString());
   }
   // And for adaptation: a static run's identity never mentions it.
   if (adapt.Active()) {
-    summary += " " + adapt.ToString();
+    summary.append(" ").append(adapt.ToString());
   }
   return summary;
 }

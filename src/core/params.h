@@ -161,6 +161,19 @@ struct SimParams {
   std::string ToString() const;
 };
 
+/// \brief The server-side checks every run shares, single-client or
+/// population: the disk geometry and frequencies, the optimizer against
+/// the program kind, and the fault, pull and adaptation knobs against
+/// the schedule.
+Status ValidateServerParams(const std::vector<uint64_t>& disk_sizes,
+                            uint64_t delta,
+                            const std::vector<uint64_t>& rel_freqs,
+                            ProgramKind program_kind,
+                            const std::string& optimizer,
+                            const fault::FaultParams& fault,
+                            const pull::PullParams& pull,
+                            const adapt::AdaptParams& adapt);
+
 }  // namespace bcast
 
 #endif  // BCAST_CORE_PARAMS_H_

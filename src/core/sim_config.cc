@@ -247,4 +247,18 @@ Status SimConfig::Finalize(const FlagSet* flags) {
   return params.Validate();
 }
 
+Status CheckModeFlags(const std::string& mode, const FlagSet& flags) {
+  if (mode != "updates") return Status::OK();
+  for (const char* name :
+       {"trace_out", "trace_timeline", "stats_out", "profile_des"}) {
+    if (flags.WasSet(name)) {
+      return Status::InvalidArgument(
+          std::string("--") + name +
+          " does not apply to --mode=updates: the updates runner writes "
+          "no trace, timeline, stats stream or DES profile");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace bcast

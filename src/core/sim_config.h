@@ -68,6 +68,14 @@ struct SimConfig {
   Status Finalize(const FlagSet* flags);
 };
 
+/// \brief Rejects tool flags that run \p mode ("single", "population",
+/// "updates") cannot honor, with a usage-error message. The updates
+/// runner drives its own volatile-data loop, which writes no
+/// per-request trace, timeline, stats stream or DES profile, so
+/// `--trace_out`, `--trace_timeline`, `--stats_out` and `--profile_des`
+/// are rejected there. Flags \p flags does not register count as unset.
+Status CheckModeFlags(const std::string& mode, const FlagSet& flags);
+
 }  // namespace bcast
 
 #endif  // BCAST_CORE_SIM_CONFIG_H_

@@ -1,6 +1,7 @@
 /// \file simulator.h
-/// \brief End-to-end wiring: params → program + mapping + cache + client →
-/// one simulated run → results.
+/// \brief The single-client run: params → a population of one → results,
+/// plus the schedule builder and the run-report renderers every mode
+/// shares.
 
 #ifndef BCAST_CORE_SIMULATOR_H_
 #define BCAST_CORE_SIMULATOR_H_
@@ -24,6 +25,7 @@
 #include "obs/stopwatch.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "pull/hybrid.h"
 #include "pull/pull_params.h"
 #include "pull/pull_stats.h"
 
@@ -41,11 +43,16 @@ inline constexpr uint64_t kUpdateStream = 7;
 }  // namespace internal
 
 /// \brief The server-side schedule one run broadcasts: the layout the
-/// chosen `ScheduleOptimizer` designed, the (push-only) program over it,
-/// and the optimizer's analytic expected-delay prediction.
+/// chosen `ScheduleOptimizer` designed, the program over it (push-only,
+/// or hybrid when built with pull), and the optimizer's analytic
+/// expected-delay prediction.
 struct ServerSchedule {
   DiskLayout layout;
   BroadcastProgram program;
+
+  /// Where the pull slots sit in a hybrid `program`; disabled (no pull
+  /// slots) for a push-only program.
+  pull::HybridLayout hybrid;
 
   /// Expected wait (broadcast units, to transmission start) the optimizer
   /// predicts under the nominal access distribution; 0 when the schedule
@@ -73,7 +80,8 @@ struct SimResult {
   /// Logical pages whose mapping Noise actually moved.
   uint64_t perturbed_pages = 0;
 
-  /// Wall-clock breakdown of the run.
+  /// Wall-clock breakdown of the run; as in population runs, the whole
+  /// event loop (warm-up included) lands in `measured_seconds`.
   obs::PhaseTimings timings;
 
   /// Events the DES kernel dispatched during the run.
@@ -200,11 +208,12 @@ std::vector<double> NominalAccessProbs(uint64_t access_range,
                                        uint64_t region_size, double theta,
                                        uint64_t db_size);
 
-/// \brief Builds the full server schedule \p params describes: for the
-/// multi-disk program, the configured `ScheduleOptimizer` ("delta",
-/// "ksy", "rbo") designs layout and program together; the skewed and
-/// random study programs bypass the optimizer frontier and carry the
-/// Δ-rule (or explicit-frequency) layout.
+/// \brief Builds the push-only server schedule \p params describes: the
+/// one-client population's schedule (`BuildPopulationSchedule` in
+/// core/multi_client.h) — for the multi-disk program, the configured
+/// `ScheduleOptimizer` ("delta", "ksy", "rbo") designs layout and program
+/// together; the skewed and random study programs bypass the optimizer
+/// frontier and carry the Δ-rule (or explicit-frequency) layout.
 Result<ServerSchedule> BuildSchedule(const SimParams& params);
 
 /// \brief Builds the broadcast program \p params describes (multi-disk,
@@ -213,13 +222,13 @@ Result<ServerSchedule> BuildSchedule(const SimParams& params);
 /// program (the chaos version axis, the updates runner).
 Result<BroadcastProgram> BuildProgram(const SimParams& params);
 
-/// \brief Runs one complete simulation. Deterministic in `params.seed`
-/// (observability hooks never touch simulation randomness).
-Result<SimResult> RunSimulation(const SimParams& params);
-
-/// \brief Same, with observability hooks attached.
+/// \brief Runs one complete simulation: the paper's one client against
+/// the broadcast, run as a population of one on the in-simulation
+/// population runner (core/multi_client.h) with the single-client RNG
+/// streams. Deterministic in `params.seed` (observability hooks never
+/// touch simulation randomness).
 Result<SimResult> RunSimulation(const SimParams& params,
-                                const SimObservers& observers);
+                                const SimObservers& observers = {});
 
 /// \brief Renders one run as a machine-readable report: params, program
 /// geometry, response/tuning percentiles, per-disk service counts, and

@@ -238,19 +238,24 @@ struct VolatileClient {
 
 }  // namespace
 
-Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
-                                            const UpdateParams& updates) {
-  return RunUpdateSimulation(base, updates, nullptr);
-}
-
-Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
-                                            const UpdateParams& updates,
-                                            obs::MetricsRegistry* registry) {
+Status ValidateUpdateRun(const SimParams& base, const UpdateParams& updates) {
   BCAST_RETURN_IF_ERROR(base.Validate());
   if (base.pull.Active()) {
     return Status::InvalidArgument(
         "updates mode does not model the backchannel; drop the pull "
         "params");
+  }
+  if (base.adapt.Active()) {
+    return Status::InvalidArgument(
+        "updates mode runs no adaptive controller; drop --adapt_epoch");
+  }
+  const fault::ProcessFaultParams& process = base.fault.process;
+  if (process.ServerActive() || process.version_every > 0.0 ||
+      (process.CrashActive() && process.crash_cold)) {
+    return Status::InvalidArgument(
+        "updates mode does not model server-side process faults or cold "
+        "restarts; drop --stall_every/--slot_jitter/--version_every/"
+        "--crash_cache=cold");
   }
   if (updates.update_rate < 0.0 || !std::isfinite(updates.update_rate)) {
     return Status::InvalidArgument("update_rate must be finite and >= 0");
@@ -265,13 +270,20 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
         "awake_for and sleep_for must both be positive (naps on) or both "
         "zero (naps off)");
   }
+  return Status::OK();
+}
 
-  Result<DiskLayout> layout =
-      base.rel_freqs.empty() ? MakeDeltaLayout(base.disk_sizes, base.delta)
-                             : MakeLayout(base.disk_sizes, base.rel_freqs);
-  if (!layout.ok()) return layout.status();
-  Result<BroadcastProgram> program = BuildProgram(base);
-  if (!program.ok()) return program.status();
+Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
+                                            const UpdateParams& updates,
+                                            obs::MetricsRegistry* registry) {
+  BCAST_RETURN_IF_ERROR(ValidateUpdateRun(base, updates));
+
+  // Layout and program from one build, so the mapping seats pages on the
+  // disks the optimizer chose.
+  Result<ServerSchedule> schedule = BuildSchedule(base);
+  if (!schedule.ok()) return schedule.status();
+  const DiskLayout* const layout = &schedule->layout;
+  const BroadcastProgram* const program = &schedule->program;
 
   const Rng master(base.seed);
   NoiseModel noise;
@@ -294,7 +306,7 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
       updates.update_theta, master.Split(kUpdateStream));
   if (!tracker.ok()) return tracker.status();
 
-  SimCatalog catalog(&*gen, &*program, &*mapping);
+  SimCatalog catalog(&*gen, program, &*mapping);
   Result<std::unique_ptr<CachePolicy>> cache = MakeCachePolicy(
       base.policy, base.cache_size, static_cast<PageId>(base.ServerDbSize()),
       &catalog, base.policy_options);
@@ -302,7 +314,7 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
 
   des::Simulation sim(
       des::ResolveQueueBackend(base.des_queue, /*expected_clients=*/1));
-  BroadcastChannel channel(&sim, &*program);
+  BroadcastChannel channel(&sim, program);
   std::unique_ptr<fault::Receiver> receiver;
   if (base.fault.Active()) {
     receiver = fault::MakeReceiver(base.fault, /*client_id=*/0,
@@ -379,6 +391,7 @@ obs::RunReport MakeUpdateRunReport(const SimParams& base,
   report.tool = tool;
   report.mode = "updates";
   report.config = base.ToString();
+  report.optimizer = base.optimizer;
   report.seed = base.seed;
   report.requests = result.requests;
   report.cache_hits = result.fresh_hits + result.stale_hits;

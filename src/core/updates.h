@@ -164,18 +164,22 @@ struct UpdateSimResult {
   }
 };
 
+/// \brief Rejects what the updates runner cannot honor: invalid update
+/// knobs, and the subsystems its own volatile-data loop does not model —
+/// the pull backchannel, the adaptive controller, the server-side
+/// process faults (stalls, slot jitter, schedule-version bumps) and cold
+/// crash-restarts (warm ones are modeled by the receiver).
+Status ValidateUpdateRun(const SimParams& base, const UpdateParams& updates);
+
 /// \brief Runs the paper's client/server simulation with updates.
 /// `base` supplies the broadcast, workload, cache and seeds; `updates`
-/// the volatility model. Deterministic in `base.seed`.
-Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
-                                            const UpdateParams& updates);
-
-/// \brief Same, additionally accumulating counters and the response
-/// histogram into \p registry (under the "updates/" prefix) when it is
-/// non-null. Observability never touches simulation randomness.
-Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
-                                            const UpdateParams& updates,
-                                            obs::MetricsRegistry* registry);
+/// the volatility model. Deterministic in `base.seed`. A non-null
+/// \p registry accumulates counters and the response histogram (under
+/// the "updates/" prefix); observability never touches simulation
+/// randomness.
+Result<UpdateSimResult> RunUpdateSimulation(
+    const SimParams& base, const UpdateParams& updates,
+    obs::MetricsRegistry* registry = nullptr);
 
 /// \brief Renders one volatile-data run as a run report (mode "updates"):
 /// staleness accounting as extras, plus the channel-fault extras when

@@ -95,7 +95,12 @@ std::string FaultParams::ToString() const {
       loss, burst_len, corrupt, doze_for, doze_for > 0.0 ? awake_for : 0.0,
       static_cast<unsigned long long>(deadline_arrivals), backoff_base,
       backoff_cap, static_cast<unsigned long long>(fault_seed));
-  if (process.Active()) s += "," + process.ToString();
+  if (process.Active()) {
+    // Appended piecewise: `"," + std::string` trips GCC 12's -Wrestrict
+    // false positive at -O3.
+    s += ',';
+    s += process.ToString();
+  }
   return s;
 }
 

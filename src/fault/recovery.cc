@@ -285,4 +285,15 @@ std::unique_ptr<Receiver> MakeReceiver(const FaultParams& params,
   return receiver;
 }
 
+std::unique_ptr<ServerFaultPlane> MakeServerFaultPlane(
+    const FaultParams& params) {
+  if (!params.process.ServerActive()) return nullptr;
+  Rng salt_rng = FaultStream(Rng(params.fault_seed), /*client_id=*/0,
+                             Purpose::kJitter);
+  return std::make_unique<ServerFaultPlane>(
+      params.process,
+      FaultStream(Rng(params.fault_seed), /*client_id=*/0, Purpose::kStall),
+      salt_rng.Next());
+}
+
 }  // namespace bcast::fault

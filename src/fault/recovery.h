@@ -322,6 +322,13 @@ class Receiver {
 std::unique_ptr<Receiver> MakeReceiver(const FaultParams& params,
                                        uint64_t client_id, double period);
 
+/// \brief Builds a run's server-side process-fault plane (stalls +
+/// jitter) from the (0, kStall) and (0, kJitter) fault streams; null when
+/// those axes are off, so an inactive run attaches and draws nothing.
+/// Every replica built from the same \p params answers identically.
+std::unique_ptr<ServerFaultPlane> MakeServerFaultPlane(
+    const FaultParams& params);
+
 }  // namespace bcast::fault
 
 #endif  // BCAST_FAULT_RECOVERY_H_

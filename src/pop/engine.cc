@@ -14,11 +14,10 @@
 #include <utility>
 #include <vector>
 
+#include "adapt/access_monitor.h"
 #include "adapt/controller.h"
 #include "adapt/loss_monitor.h"
 #include "broadcast/channel.h"
-#include "broadcast/generator.h"
-#include "broadcast/schedule_optimizer.h"
 #include "client/client.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -36,9 +35,6 @@
 
 namespace bcast::pop {
 namespace {
-
-// Sub-stream tag of the random-program draw (matches multi_client.cc).
-constexpr uint64_t kProgramStream = 3;
 
 /// K parked worker threads, one per shard, driven in lock-step rounds.
 /// The gate mutex publishes the coordinator's mailbox writes to the
@@ -123,11 +119,6 @@ struct UplinkDraw {
 }  // namespace
 
 Result<MultiClientResult> RunPopulationSimulation(
-    const MultiClientParams& params, const PopParams& pop) {
-  return RunPopulationSimulation(params, pop, SimObservers{});
-}
-
-Result<MultiClientResult> RunPopulationSimulation(
     const MultiClientParams& params, const PopParams& pop,
     const SimObservers& observers) {
   obs::Stopwatch total_watch;
@@ -140,58 +131,15 @@ Result<MultiClientResult> RunPopulationSimulation(
       std::min<uint64_t>(pop.shards > 0 ? pop.shards : 1, n_clients);
 
   const Rng master(params.seed);
-  // Same schedule construction as RunMultiClientSimulation: the
-  // configured optimizer designs layout and program together (with pull
-  // the air carries the hybrid program built from the optimizer's
-  // layout), so the engine and the legacy runner race identical
-  // schedules.
-  pull::HybridLayout hybrid_layout;
-  Result<ServerSchedule> schedule = [&]() -> Result<ServerSchedule> {
+  // The schedule construction every runner shares, so the engine and the
+  // in-simulation runner race identical schedules.
+  Result<ServerSchedule> schedule = [&]() {
     obs::ScopedTimer timer(&timings.build_program_seconds);
-    if (params.program_kind == ProgramKind::kMultiDisk) {
-      const ScheduleOptimizer* optimizer =
-          FindScheduleOptimizer(params.optimizer);
-      BCAST_CHECK(optimizer != nullptr);  // Validate() vetted the name
-      OptimizerRequest request;
-      request.disk_sizes = params.disk_sizes;
-      request.rel_freqs = params.rel_freqs;
-      request.delta = params.delta;
-      if (params.optimizer != "delta") {
-        request.probs = PopulationNominalProbs(params);
-      }
-      Result<OptimizedSchedule> built = optimizer->Build(request);
-      if (!built.ok()) return built.status();
-      ServerSchedule out{std::move(built->layout), std::move(built->program),
-                         built->predicted_delay};
-      if (params.pull.Active()) {
-        Result<pull::HybridProgram> hybrid = pull::GenerateHybridProgram(
-            out.layout, params.pull.pull_slots);
-        if (!hybrid.ok()) return hybrid.status();
-        hybrid_layout = std::move(hybrid->layout);
-        out.program = std::move(hybrid->program);
-      }
-      return out;
-    }
-    Result<DiskLayout> layout =
-        params.rel_freqs.empty()
-            ? MakeDeltaLayout(params.disk_sizes, params.delta)
-            : MakeLayout(params.disk_sizes, params.rel_freqs);
-    if (!layout.ok()) return layout.status();
-    Result<BroadcastProgram> program = [&]() -> Result<BroadcastProgram> {
-      if (params.program_kind == ProgramKind::kSkewed) {
-        return GenerateSkewedProgram(*layout);
-      }
-      Result<BroadcastProgram> reference = GenerateMultiDiskProgram(*layout);
-      if (!reference.ok()) return reference.status();
-      Rng rng = master.Split(kProgramStream);
-      return GenerateRandomProgram(*layout, reference->period(), &rng);
-    }();
-    if (!program.ok()) return program.status();
-    return ServerSchedule{std::move(*layout), std::move(*program), 0.0};
+    return BuildPopulationSchedule(params, /*with_pull=*/true);
   }();
   if (!schedule.ok()) return schedule.status();
   const DiskLayout* const layout = &schedule->layout;
-  BroadcastProgram* const program = &schedule->program;
+  const BroadcastProgram* const program = &schedule->program;
 
   const uint64_t total = layout->TotalPages();
   obs::Stopwatch setup_watch;
@@ -210,28 +158,20 @@ Result<MultiClientResult> RunPopulationSimulation(
   if (observers.profile_des) server_sim.EnableProfiling();
   server_sim.AttachTimeline(observers.timeline);
   BCAST_TIMELINE(observers.timeline, NameTrack(obs::track::kSim, "des"));
-  BroadcastChannel server_channel(&server_sim, &*program);
+  BroadcastChannel server_channel(&server_sim, program);
 
   std::unique_ptr<pull::PullServer> pull_server;
   if (params.pull.Active()) {
     pull_server = std::make_unique<pull::PullServer>(
-        &server_sim, hybrid_layout, params.pull);
+        &server_sim, schedule->hybrid, params.pull);
     BCAST_TIMELINE(observers.timeline, NameTrack(obs::track::kPull, "pull"));
   }
   const bool pull_on = pull_server != nullptr && pull_server->enabled();
 
-  std::vector<bool> cold_pages;
-  if ((params.pull.Active() || params.adapt.Active()) &&
-      program->num_disks() > 1) {
-    const DiskIndex coldest =
-        static_cast<DiskIndex>(program->num_disks() - 1);
-    cold_pages.resize(total);
-    for (PageId p = 0; p < static_cast<PageId>(total); ++p) {
-      cold_pages[p] = program->DiskOf(p) == coldest;
-    }
-  }
+  const std::vector<bool> cold_pages = ColdPages(params, *program);
 
   std::unique_ptr<adapt::LossMonitor> loss_monitor;
+  std::unique_ptr<adapt::AccessMonitor> access_monitor;
   std::unique_ptr<adapt::Controller> controller;
   // The controller's epoch-barrier products, captured by its hooks while
   // the server simulation runs and forwarded to the shards before the
@@ -249,10 +189,19 @@ Result<MultiClientResult> RunPopulationSimulation(
       loss_monitor =
           std::make_unique<adapt::LossMonitor>(static_cast<PageId>(total));
     }
+    // --adapt_reopt runs only on a population of one, hence one shard:
+    // its client feeds the monitor during shard rounds, and the
+    // controller drains it at epoch barriers while the shard is parked.
+    if (params.adapt.reopt) {
+      access_monitor =
+          std::make_unique<adapt::AccessMonitor>(static_cast<PageId>(total));
+    }
     adapt::Controller::Hooks hooks;
     hooks.channel = &server_channel;
     hooks.pull = pull_on ? pull_server.get() : nullptr;
     hooks.loss = loss_monitor.get();
+    hooks.access = access_monitor.get();
+    hooks.make_program = RebuildProgramFor(params.optimizer, program);
     hooks.liveness = [&unfinished_total]() { return unfinished_total > 0; };
     hooks.on_switch = [&pending_switches](
                           const BroadcastProgram* prog,
@@ -288,9 +237,9 @@ Result<MultiClientResult> RunPopulationSimulation(
 
   ShardShared shared;
   shared.params = &params;
-  shared.layout = &*layout;
-  shared.program = &*program;
-  shared.hybrid = &hybrid_layout;
+  shared.layout = layout;
+  shared.program = program;
+  shared.hybrid = &schedule->hybrid;
   shared.cold_pages = &cold_pages;
   shared.timeline = observers.timeline;
   shared.trace = observers.trace;
@@ -299,6 +248,7 @@ Result<MultiClientResult> RunPopulationSimulation(
       pull_server != nullptr ? pull_server->ServiceInterval() : 0.0;
   shared.need_loss_monitor = loss_monitor != nullptr;
   shared.need_cold_wait = controller != nullptr;
+  shared.access_monitor = access_monitor.get();
   shared.profile_des = observers.profile_des;
 
   std::vector<std::unique_ptr<Shard>> shards;
@@ -332,9 +282,8 @@ Result<MultiClientResult> RunPopulationSimulation(
   const bool stats_on = observers.stats != nullptr;
   const double stats_interval =
       stats_on ? std::max(observers.stats_interval, 1.0) : 0.0;
-  uint64_t stats_prev_requests = 0;
-  uint64_t stats_prev_hits = 0;
-  double stats_prev_rt_sum = 0.0;
+  obs::StatsSample prev;
+  double prev_rt_sum = 0.0;
   std::vector<ClassProfile> stat_classes = pop.classes;
   if (stat_classes.empty()) stat_classes.push_back(ClassProfile{});
   auto take_stats_sample = [&](bool final_sample, double t) {
@@ -348,38 +297,18 @@ Result<MultiClientResult> RunPopulationSimulation(
     for (const auto& shard : shards) {
       for (uint64_t c = shard->begin(); c < shard->end(); ++c) {
         const ClientWorld& world = shard->world(c);
-        const ClientMetrics& m = world.client->metrics();
-        s.requests += m.requests();
-        s.hits += m.cache_hits();
-        s.warmup_requests += world.client->warmup_requests();
-        rt_sum += m.response_time().sum();
+        AddToStatsSample(world, &s, &rt_sum);
+        const obs::LogHistogram& rt =
+            world.client->metrics().response_histogram();
         const uint32_t k = store.class_of(c);
         if (!class_rt[k].has_value()) {
-          class_rt[k].emplace(m.response_histogram());
+          class_rt[k].emplace(rt);
         } else {
-          class_rt[k]->Merge(m.response_histogram());
-        }
-        const std::vector<uint64_t>& per_disk = m.served_per_disk();
-        if (s.served_per_disk.size() < per_disk.size()) {
-          s.served_per_disk.resize(per_disk.size(), 0);
-        }
-        for (size_t d = 0; d < per_disk.size(); ++d) {
-          s.served_per_disk[d] += per_disk[d];
-        }
-        if (world.receiver != nullptr) {
-          s.fault_lost += world.receiver->stats().lost;
-          s.fault_retries += world.receiver->stats().retries;
+          class_rt[k]->Merge(rt);
         }
       }
     }
-    s.mean_rt =
-        s.requests > 0 ? rt_sum / static_cast<double>(s.requests) : 0.0;
-    s.win_requests = s.requests - stats_prev_requests;
-    s.win_hits = s.hits - stats_prev_hits;
-    s.win_mean_rt = s.win_requests > 0
-                        ? (rt_sum - stats_prev_rt_sum) /
-                              static_cast<double>(s.win_requests)
-                        : 0.0;
+    FinishStatsSample(prev, prev_rt_sum, rt_sum, &s);
     if (pull_server != nullptr) {
       s.pull_queue_depth = pull_server->queue_depth();
       s.pull_serviced = pull_server->stats().serviced_pages;
@@ -396,9 +325,8 @@ Result<MultiClientResult> RunPopulationSimulation(
       }
     }
     s.final_sample = final_sample;
-    stats_prev_requests = s.requests;
-    stats_prev_hits = s.hits;
-    stats_prev_rt_sum = rt_sum;
+    prev = s;
+    prev_rt_sum = rt_sum;
     observers.stats->Write(s);
   };
 
@@ -578,20 +506,9 @@ Result<MultiClientResult> RunPopulationSimulation(
   for (const auto& shard : shards) {
     version_bumps = std::max(version_bumps, shard->version_bumps());
     for (uint64_t c = shard->begin(); c < shard->end(); ++c) {
-      ClientWorld& world = shard->world(c);
-      BCAST_CHECK(world.client->finished())
+      BCAST_CHECK(shard->world(c).client->finished())
           << "client " << c << " did not finish";
-      result.per_client.push_back(world.client->metrics());
-      result.aggregate.Merge(world.client->metrics());
-      const double mean = world.client->metrics().mean_response_time();
-      result.mean_response_times.push_back(mean);
-      result.response_across_clients.Add(mean);
-      if (world.receiver != nullptr) {
-        result.faults.Merge(world.receiver->stats());
-        result.faults_active = true;
-      }
-      result.cold_requests += world.client->cold_requests();
-      result.cold_hits += world.client->cold_hits();
+      AddClientOutcome(shard->world(c), &result);
     }
   }
   if (result.faults_active) result.faults.version_bumps = version_bumps;
@@ -614,6 +531,8 @@ Result<MultiClientResult> RunPopulationSimulation(
     store.MergeColdWait(&result.adapt_stats.cold_wait);
     result.adapt_active = true;
   }
+  result.period = program->period();
+  result.empty_slots = program->EmptySlots();
   result.end_time = end_time;
   result.events_dispatched = merged_events();
   result.predicted_delay = schedule->predicted_delay;

@@ -1,6 +1,11 @@
 /// \file engine.h
 /// \brief The sharded population engine: N clients over K worker threads.
 ///
+/// Every run is a population. Single mode is a population of one on the
+/// in-simulation runner (`RunSimulation` → `internal::RunInSimPopulation`).
+/// The engine builds the same client worlds (`BuildClientWorld`) on the
+/// same schedule (`BuildPopulationSchedule`), spread over shards.
+///
 /// The engine partitions the population into contiguous shards, each a
 /// private discrete-event simulation (see shard.h), and couples them to
 /// one coordinator-owned *server simulation* holding the subsystems the
@@ -61,11 +66,7 @@ namespace bcast::pop {
 /// `params.seed`; invariant in the shard count.
 Result<MultiClientResult> RunPopulationSimulation(
     const MultiClientParams& params, const PopParams& pop,
-    const SimObservers& observers);
-
-/// \brief Convenience overload without observers.
-Result<MultiClientResult> RunPopulationSimulation(
-    const MultiClientParams& params, const PopParams& pop);
+    const SimObservers& observers = {});
 
 /// \brief Appends population-engine extras to a population report:
 /// engine identity (`pop_clients`, `pop_shards`, `pop_engine`),

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "fault/fault_model.h"
+#include "fault/recovery.h"
 
 namespace bcast::pop {
 
@@ -36,16 +36,7 @@ Shard::Shard(uint64_t index, uint64_t begin, uint64_t end,
   // seeds, and FaultWindows materializes identical windows under any
   // query order, so every replica answers exactly like the legacy
   // shared plane.
-  if (params.fault.process.ServerActive()) {
-    Rng salt_rng = fault::FaultStream(Rng(params.fault.fault_seed),
-                                      /*client_id=*/0,
-                                      fault::Purpose::kJitter);
-    server_faults_ = std::make_unique<fault::ServerFaultPlane>(
-        params.fault.process,
-        fault::FaultStream(Rng(params.fault.fault_seed), /*client_id=*/0,
-                           fault::Purpose::kStall),
-        salt_rng.Next());
-  }
+  server_faults_ = fault::MakeServerFaultPlane(params.fault);
   if (shared_.need_loss_monitor) {
     loss_monitor_ = std::make_unique<adapt::LossMonitor>(
         static_cast<PageId>(shared_.layout->TotalPages()));
@@ -68,6 +59,7 @@ Status Shard::Build(const Rng& master) {
   deps.timeline = shared_.timeline;
   deps.trace = shared_.trace;
   deps.loss_monitor = loss_monitor_.get();
+  deps.access_monitor = shared_.access_monitor;
   deps.server_faults = server_faults_.get();
   deps.cold_pages = shared_.cold_pages;
   if (hub_ != nullptr) {

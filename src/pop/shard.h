@@ -27,6 +27,7 @@
 #include <memory>
 #include <vector>
 
+#include "adapt/access_monitor.h"
 #include "adapt/loss_monitor.h"
 #include "broadcast/channel.h"
 #include "broadcast/disk_config.h"
@@ -57,6 +58,7 @@ struct ShardShared {
   double service_interval = 0.0;    ///< initial pull service interval
   bool need_loss_monitor = false;   ///< adaptation + faults are on
   bool need_cold_wait = false;      ///< adaptation is on
+  adapt::AccessMonitor* access_monitor = nullptr;  ///< --adapt_reopt
   bool profile_des = false;
 };
 

@@ -56,6 +56,13 @@ struct Table1Case {
   double multi;
 };
 
+// Names each case by its hot-page probability. Without this, gtest prints
+// the raw bytes of the case, vector pointer included, and the parameterized
+// test's listed name changes from one process to the next.
+void PrintTo(const Table1Case& c, std::ostream* os) {
+  *os << "pA=" << c.probs[0];
+}
+
 class Table1Test : public ::testing::TestWithParam<Table1Case> {};
 
 TEST_P(Table1Test, MatchesPaper) {

@@ -404,5 +404,112 @@ TEST(MultiClientObserverTest, StatsStreamAggregatesThePopulation) {
             result->aggregate.served_per_disk());
 }
 
+// The SimParams template of the small world above.
+SimParams SmallTemplate() {
+  SimParams base;
+  base.disk_sizes = {50, 200, 250};
+  base.delta = 2;
+  base.access_range = 100;
+  base.region_size = 5;
+  base.cache_size = 20;
+  base.policy = PolicyKind::kLix;
+  base.measured_requests = 2000;
+  return base;
+}
+
+TEST(PopulationFromSimParamsTest, StampsEveryClientKnob) {
+  SimParams base = SmallTemplate();
+  base.noise_percent = 30.0;
+  base.noise_scope = NoiseScope::kAllPages;
+  base.noise_destination = NoiseModel::Destination::kUniformPage;
+  base.think_kind = ThinkTimeKind::kExponential;
+  base.knows_schedule = true;
+  base.policy_options.lru_k.k = 3;
+  base.max_warmup_requests = 77;
+  const MultiClientParams params = PopulationFromSimParams(base, 4);
+  ASSERT_EQ(params.clients.size(), 4u);
+  EXPECT_EQ(params.max_warmup_requests, 77u);
+  for (size_t c = 0; c < 4; ++c) {
+    const ClientSpec& spec = params.clients[c];
+    EXPECT_EQ(spec.interest_shift, 500u * c / 4);
+    EXPECT_EQ(spec.noise_scope, NoiseScope::kAllPages);
+    EXPECT_EQ(spec.noise_destination, NoiseModel::Destination::kUniformPage);
+    EXPECT_EQ(spec.think_kind, ThinkTimeKind::kExponential);
+    EXPECT_TRUE(spec.knows_schedule);
+    EXPECT_EQ(spec.policy_options.lru_k.k, 3u);
+  }
+  EXPECT_TRUE(params.Validate().ok());
+}
+
+TEST(PopulationFromSimParamsTest, NoiseScopeAndScheduleKnowledgeReachClients) {
+  // Per-client knobs must change a population run exactly as they change
+  // the single-client run: noise over every page moves more of the
+  // database, and a schedule-aware client tunes in for one slot a miss.
+  SimParams base = SmallTemplate();
+  base.noise_percent = 50.0;
+  auto plain = RunMultiClientSimulation(PopulationFromSimParams(base, 2));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+  SimParams all_pages = base;
+  all_pages.noise_scope = NoiseScope::kAllPages;
+  auto scoped = RunMultiClientSimulation(PopulationFromSimParams(all_pages, 2));
+  ASSERT_TRUE(scoped.ok()) << scoped.status().ToString();
+  EXPECT_GT(scoped->perturbed_pages, plain->perturbed_pages);
+  EXPECT_NE(scoped->aggregate.served_per_disk(),
+            plain->aggregate.served_per_disk());
+
+  SimParams knowing = base;
+  knowing.knows_schedule = true;
+  auto knows = RunMultiClientSimulation(PopulationFromSimParams(knowing, 2));
+  ASSERT_TRUE(knows.ok()) << knows.status().ToString();
+  EXPECT_LT(knows->aggregate.tuning_time().mean(),
+            plain->aggregate.tuning_time().mean());
+}
+
+TEST(PopulationFromSimParamsTest, APopulationOfOneIsTheSingleRunsSchedule) {
+  SimParams base = SmallTemplate();
+  base.optimizer = "ksy";
+  auto single = BuildSchedule(base);
+  auto population = BuildPopulationSchedule(PopulationFromSimParams(base, 1),
+                                            /*with_pull=*/false);
+  ASSERT_TRUE(single.ok());
+  ASSERT_TRUE(population.ok());
+  EXPECT_EQ(single->program.slots(), population->program.slots());
+  EXPECT_EQ(single->predicted_delay, population->predicted_delay);
+}
+
+TEST(MultiClientTest, ReoptRunsOnAPopulationOfOne) {
+  SimParams base = SmallTemplate();
+  base.offset = 25;
+  base.adapt.epoch_cycles = 2;
+  base.adapt.reopt = true;
+  const MultiClientParams params = PopulationFromSimParams(base, 1);
+  ASSERT_TRUE(params.Validate().ok());
+  auto result = RunMultiClientSimulation(params);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->adapt_stats.reopts, 0u);
+}
+
+TEST(MultiClientTest, ReportCountsWarmupAndOmitsUndefinedFairness) {
+  // Caches as large as the access range: warm-up fills them, and every
+  // measured request hits, so the smallest client mean is 0.
+  MultiClientParams params = SmallPopulation(2);
+  for (ClientSpec& spec : params.clients) {
+    spec.access_range = 20;
+    spec.cache_size = 20;
+    spec.policy = PolicyKind::kLru;
+  }
+  auto result = RunMultiClientSimulation(params);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->response_across_clients.min(), 0.0);
+  const obs::RunReport report =
+      MakePopulationRunReport(params, *result, "cfg", "test");
+  EXPECT_GT(report.warmup_requests, 0u);
+  EXPECT_EQ(report.warmup_requests, result->warmup_requests);
+  for (const auto& [k, v] : report.extra) {
+    EXPECT_NE(k, "fairness_max_over_min");
+  }
+}
+
 }  // namespace
 }  // namespace bcast

@@ -227,5 +227,30 @@ TEST(SimConfigTest, FinalizeRunsStructuralValidation) {
                    .ok());
 }
 
+TEST(SimConfigTest, UpdatesModeRejectsObservabilityFlags) {
+  // The tool-level observability flags bcastsim registers next to the
+  // simulation surface.
+  for (const char* arg : {"--trace_out=t.jsonl", "--trace_timeline=t.json",
+                          "--stats_out=s.jsonl", "--profile_des"}) {
+    SCOPED_TRACE(arg);
+    FlagSet flags("test");
+    std::string trace_out, trace_timeline, stats_out;
+    bool profile_des = false;
+    flags.AddString("trace_out", &trace_out, "");
+    flags.AddString("trace_timeline", &trace_timeline, "");
+    flags.AddString("stats_out", &stats_out, "");
+    flags.AddBool("profile_des", &profile_des, "");
+    std::vector<const char*> args = {arg};
+    ASSERT_TRUE(flags.Parse(1, args.data()).ok());
+    const Status st = CheckModeFlags("updates", flags);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("--mode=updates"), std::string::npos);
+    EXPECT_TRUE(CheckModeFlags("single", flags).ok());
+    EXPECT_TRUE(CheckModeFlags("population", flags).ok());
+  }
+  FlagSet none("test");
+  EXPECT_TRUE(CheckModeFlags("updates", none).ok());
+}
+
 }  // namespace
 }  // namespace bcast

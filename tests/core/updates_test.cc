@@ -95,6 +95,29 @@ TEST(UpdateSimulationTest, ZeroRateMatchesReadOnlyBehaviour) {
   EXPECT_GT(result->fresh_hits, 0u);
 }
 
+TEST(UpdateSimulationTest, RejectsSubsystemsTheLoopDoesNotModel) {
+  // Each of these used to be silently ignored (or half-applied).
+  SimParams adapt = SmallBase();
+  adapt.fault.loss = 0.1;
+  adapt.adapt.epoch_cycles = 2;
+  SimParams version = SmallBase();
+  version.fault.process.version_every = 1000.0;
+  SimParams stall = SmallBase();
+  stall.fault.process.stall_every = 5000.0;
+  stall.fault.process.stall_len = 10.0;
+  SimParams cold = SmallBase();
+  cold.fault.process.crash_every = 100000.0;
+  cold.fault.process.crash_cold = true;
+  for (const SimParams& base : {adapt, version, stall, cold}) {
+    const Status st = ValidateUpdateRun(base, UpdateParams{});
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_FALSE(RunUpdateSimulation(base, UpdateParams{}).ok());
+  }
+  SimParams warm = SmallBase();
+  warm.fault.process.crash_every = 100000.0;
+  EXPECT_TRUE(ValidateUpdateRun(warm, UpdateParams{}).ok());
+}
+
 TEST(UpdateSimulationTest, CountsAreConsistent) {
   SimParams base = SmallBase();
   UpdateParams updates;

@@ -121,6 +121,62 @@ double ExtraOr(const obs::RunReport& report, const std::string& key,
   return fallback;
 }
 
+TEST(PopulationEngineTest, RboRebuildsKeepTheBitReversalPeriod) {
+  // Loss-driven frequency repair on a bit-reversal schedule: every
+  // rebuild must re-seat the rbo program, not regenerate a chunked
+  // multi-disk one. The controller spaces its epochs by the period on
+  // the air, so with the rbo period kept the final (dead-liveness) tick
+  // lands at exactly (epochs + 1) * epoch_cycles * period. Both runners
+  // install the same hook, so they also agree byte for byte.
+  MultiClientParams params = MakePopulation(2);
+  params.optimizer = "rbo";
+  params.fault.loss = 0.1;
+  params.adapt.epoch_cycles = 2;
+  auto schedule = BuildPopulationSchedule(params, /*with_pull=*/true);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  const double epoch =
+      2.0 * static_cast<double>(schedule->program.period());
+
+  std::vector<MultiClientResult> runs;
+  auto legacy = RunMultiClientSimulation(params);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  runs.push_back(*legacy);
+  for (uint64_t k : {1u, 2u}) {
+    PopParams pop;
+    pop.clients = params.clients.size();
+    pop.shards = k;
+    pop.force_engine = true;
+    auto engine = RunPopulationSimulation(params, pop);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    runs.push_back(*engine);
+  }
+  for (const MultiClientResult& run : runs) {
+    EXPECT_GT(run.adapt_stats.rebuilds, 0u);
+    EXPECT_EQ(run.end_time,
+              static_cast<double>(run.adapt_stats.epochs + 1) * epoch);
+  }
+  EXPECT_EQ(EngineBytes(params, 1), EngineBytes(params, 2));
+  EXPECT_EQ(LegacyBytes(params), EngineBytes(params, 1));
+}
+
+TEST(PopulationEngineTest, ReoptRunsOnAPopulationOfOne) {
+  // Measured-frequency re-optimization needs one demand ranking, so one
+  // client, hence one shard: its monitor is drained at epoch barriers.
+  MultiClientParams params = MakePopulation(1);
+  params.clients[0].offset = 60;
+  params.adapt.epoch_cycles = 2;
+  params.adapt.reopt = true;
+  PopParams pop;
+  pop.clients = 1;
+  pop.shards = 2;
+  pop.force_engine = true;
+  auto result = RunPopulationSimulation(params, pop);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->adapt_stats.reopts, 0u);
+  EXPECT_GT(result->adapt_stats.demotions + result->adapt_stats.promotions,
+            0u);
+}
+
 TEST(PopulationEngineTest, AppendsPopulationAndClassExtras) {
   MultiClientParams params = MakePopulation(8);
   params.fault.loss = 0.1;

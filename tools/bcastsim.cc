@@ -75,34 +75,15 @@ int RunPopulation(const SimParams& base, const pop::PopParams& pop,
                   const std::string& report_out,
                   const SimObservers& observers,
                   bool record_des_queue) {
-  const uint64_t clients = pop.clients;
-  MultiClientParams params;
-  params.disk_sizes = base.disk_sizes;
-  params.delta = base.delta;
-  params.rel_freqs = base.rel_freqs;
-  params.program_kind = base.program_kind;
-  params.optimizer = base.optimizer;
-  params.measured_requests = base.measured_requests;
-  params.seed = base.seed;
-  const uint64_t db = params.ServerDbSize();
-  for (uint64_t c = 0; c < clients; ++c) {
-    ClientSpec spec;
-    spec.access_range = base.access_range;
-    spec.theta = base.theta;
-    spec.region_size = base.region_size;
-    spec.cache_size = base.cache_size;
-    spec.policy = base.policy;
-    spec.offset = base.offset;
-    spec.noise_percent = base.noise_percent;
-    spec.think_time = base.think_time;
-    spec.interest_shift = clients > 1 ? db * c / clients : 0;
-    params.clients.push_back(spec);
-  }
-  params.fault = base.fault;
-  params.pull = base.pull;
-  params.adapt = base.adapt;
-  params.des_queue = base.des_queue;
+  MultiClientParams params = PopulationFromSimParams(base, pop.clients);
   pop::ApplyClassProfiles(pop.classes, &params.clients);
+  // Population-only constraints (e.g. --adapt_reopt needs a population
+  // of one) are usage errors, like every other flag rejection.
+  Status valid = params.Validate();
+  if (!valid.ok()) {
+    std::cerr << valid.message() << "\n";
+    return 2;
+  }
   auto result = pop.UseEngine()
                     ? pop::RunPopulationSimulation(params, pop, observers)
                     : RunMultiClientSimulation(params, observers);
@@ -127,12 +108,13 @@ int RunPopulation(const SimParams& base, const pop::PopParams& pop,
     std::cout << params.clients.size() << " clients over "
               << pop.EffectiveShards() << " shard(s)\n";
   }
-  std::cout << "Population mean "
-            << FormatDouble(result->response_across_clients.mean(), 1)
+  // As in the report, max/min is undefined when a client never waited.
+  const RunningStat& means = result->response_across_clients;
+  std::cout << "Population mean " << FormatDouble(means.mean(), 1)
             << ", max/min "
-            << FormatDouble(result->response_across_clients.max() /
-                                result->response_across_clients.min(),
-                            2)
+            << (means.min() > 0.0
+                    ? FormatDouble(means.max() / means.min(), 2)
+                    : std::string("undefined (a client never waited)"))
             << "\n";
 
   if (!report_out.empty()) {
@@ -163,6 +145,11 @@ int RunUpdates(const SimParams& base, double update_rate,
   } else {
     std::cerr << "unknown --consistency: " << consistency
               << " (none|invalidate|auto-refresh)\n";
+    return 2;
+  }
+  Status valid = ValidateUpdateRun(base, updates);
+  if (!valid.ok()) {
+    std::cerr << valid.message() << "\n";
     return 2;
   }
   obs::MetricsRegistry registry;
@@ -286,12 +273,10 @@ int Run(int argc, const char* const* argv) {
   }
   SimParams& params = config.params;
 
-  if (mode == "updates" &&
-      (!trace_out.empty() || !trace_timeline.empty() ||
-       !stats_out.empty() || profile_des)) {
-    BCAST_LOG(kWarning)
-        << "--trace_out/--trace_timeline/--stats_out/--profile_des do "
-           "not apply to --mode=updates; ignored";
+  Status mode_flags = CheckModeFlags(mode, flags);
+  if (!mode_flags.ok()) {
+    std::cerr << mode_flags.message() << "\n";
+    return 2;
   }
   if (mode == "updates") {
     return RunUpdates(params, update_rate, update_theta, consistency,
