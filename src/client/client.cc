@@ -194,6 +194,7 @@ des::Process Client::Run() {
   }
   BCAST_TIMELINE(timeline, EndSpan(tl_track, sim_->Now()));
   finished_ = true;
+  if (config_.finished_count != nullptr) ++*config_.finished_count;
 }
 
 }  // namespace bcast

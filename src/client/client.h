@@ -81,6 +81,12 @@ struct ClientRunConfig {
   /// `cold_pages` (unowned). Feeds the adapt cold-latency gate.
   obs::LogHistogram* cold_wait = nullptr;
 
+  /// Optional count of finished clients (unowned), incremented once when
+  /// this client's measured phase completes. A population engine shard
+  /// keeps one, so its liveness check costs O(1) per round instead of a
+  /// walk over its clients. nullptr — the default — counts nothing.
+  uint64_t* finished_count = nullptr;
+
   /// This client's index in its population (0 in single-client runs).
   /// Stamped into trace records and selects the timeline track.
   uint32_t client_id = 0;

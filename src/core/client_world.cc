@@ -113,6 +113,7 @@ Status BuildClientWorld(const MultiClientParams& params, size_t c,
   config.receiver = out->receiver.get();
   config.pull = out->pull.get();
   config.access = deps.access_monitor;
+  config.finished_count = deps.finished_count;
   config.client_id = static_cast<uint32_t>(c);
   if (deps.cold_pages != nullptr && !deps.cold_pages->empty()) {
     config.cold_pages = deps.cold_pages;

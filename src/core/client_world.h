@@ -67,6 +67,7 @@ struct ClientWorldDeps {
   adapt::AccessMonitor* access_monitor = nullptr;  ///< --adapt_reopt demand
   fault::ServerFaultPlane* server_faults = nullptr;
   const std::vector<bool>* cold_pages = nullptr;  // null/empty: no cold set
+  uint64_t* finished_count = nullptr;  ///< bumped as each client finishes
 
   /// Which RNG sub-streams the client draws from (population keys unless
   /// the run is the single-client one).

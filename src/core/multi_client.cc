@@ -201,6 +201,20 @@ Result<ServerSchedule> BuildPopulationSchedule(const MultiClientParams& params,
   return schedule;
 }
 
+Status CheckVersionCadence(const MultiClientParams& params,
+                           const BroadcastProgram& program) {
+  const double every = params.fault.process.version_every;
+  const double period = static_cast<double>(program.period());
+  if (every > 0.0 && every < period) {
+    return Status::InvalidArgument(StrFormat(
+        "version_every=%g must be at least the program period (%g "
+        "slots): each version bump restarts the cycle, so pages seated "
+        "later in it would never air",
+        every, period));
+  }
+  return Status::OK();
+}
+
 std::function<Result<BroadcastProgram>(const DiskLayout&)> RebuildProgramFor(
     const std::string& optimizer, const BroadcastProgram* seat_program) {
   if (optimizer != "rbo") return nullptr;
@@ -232,6 +246,7 @@ Result<MultiClientResult> RunInSimPopulation(const MultiClientParams& params,
   if (!schedule.ok()) return schedule.status();
   const DiskLayout* const layout = &schedule->layout;
   const BroadcastProgram* const program = &schedule->program;
+  BCAST_RETURN_IF_ERROR(CheckVersionCadence(params, *program));
 
   const uint64_t total = layout->TotalPages();
   obs::Stopwatch setup_watch;

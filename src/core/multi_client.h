@@ -184,6 +184,14 @@ MultiClientParams PopulationFromSimParams(const SimParams& base,
 Result<ServerSchedule> BuildPopulationSchedule(const MultiClientParams& params,
                                                bool with_pull);
 
+/// \brief Rejects a schedule-version cadence shorter than the period of
+/// \p program (the built program on the air): every bump restarts the
+/// cycle, so pages seated after slot `version_every` would never air and
+/// their waiters would wait forever. InvalidArgument; OK when version
+/// bumps are off. Every runner checks it before its first event.
+Status CheckVersionCadence(const MultiClientParams& params,
+                           const BroadcastProgram& program);
+
 /// \brief The adaptive controller's push-only rebuild generator for
 /// \p optimizer (`adapt::Controller::Hooks::make_program`). Empty for
 /// delta and ksy, whose layouts carry integer relative frequencies, so
@@ -231,6 +239,11 @@ struct MultiClientResult {
 
   /// Events the DES kernel dispatched.
   uint64_t events_dispatched = 0;
+
+  /// Barrier rounds the population engine ran, the final drain included:
+  /// deterministic, and the same for every shard count. 0 on the
+  /// in-simulation runner, which has no rounds.
+  uint64_t rounds = 0;
 
   /// Expected delay the optimizer predicted for its program under the
   /// population's mean nominal distribution (0 for `delta`, which skips

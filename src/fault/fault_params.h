@@ -66,7 +66,11 @@ struct ProcessFaultParams {
 
   /// Slots between schedule-version bumps: the server re-phases the
   /// current program (`SetProgram` at a non-boundary instant), forcing
-  /// every tracked wait through the resync path. 0 = off.
+  /// every tracked wait through the resync path. 0 = off. Each bump
+  /// restarts the cycle, so a cadence shorter than the program's period
+  /// would keep its later pages off the air for good: the runners reject
+  /// it against the built program (`CheckVersionCadence`), before the
+  /// first event.
   double version_every = 0.0;
 
   /// True when the client-side crash axis is configured.

@@ -1,12 +1,12 @@
 #include "pop/engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -36,73 +36,123 @@
 namespace bcast::pop {
 namespace {
 
-/// K parked worker threads, one per shard, driven in lock-step rounds.
-/// The gate mutex publishes the coordinator's mailbox writes to the
-/// workers (acquire at round start) and the workers' shard state back
-/// (release at round end), so shard internals need no atomics.
-class WorkerPool {
+/// Relaxes the core inside a spin loop (x86 `pause`, Arm `yield`).
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Drives K shards in lock-step rounds on K threads: shard 0 runs on the
+/// calling (coordinator) thread, shards 1..K-1 on worker threads, so
+/// K=1 starts no thread at all.
+///
+/// Two 32-bit words carry a round. The coordinator writes the round's
+/// parameters, sets `pending_` to the worker count and bumps `round_`
+/// (release); each worker, once its shard reaches the barrier,
+/// decrements `pending_` (release); the coordinator's acquire load of
+/// `pending_ == 0` closes the round. These release/acquire pairs publish
+/// the coordinator's mailbox writes to the workers and the shards' state
+/// back, so shard internals need no atomics. The words are 32-bit
+/// because libstdc++ waits on those with a bare futex (wider words go
+/// through its proxy waiter pool).
+///
+/// A waiter spins for a short fixed budget before it parks on the word:
+/// a round in a coupled run is a few microseconds of work, far less than
+/// a futex sleep and wake-up. The spinner yields every 64 `pause`s, so
+/// when the scheduler has put it on the same core as the thread it
+/// waits for, it hands the core over instead of burning its budget.
+/// When the K threads outnumber the host's hardware threads, a spinning
+/// waiter would only steal a core some shard needs, so waiters park at
+/// once.
+class RoundGate {
  public:
-  explicit WorkerPool(std::vector<std::unique_ptr<Shard>>* shards)
-      : shards_(shards) {
-    threads_.reserve(shards_->size());
-    for (auto& shard : *shards_) {
-      threads_.emplace_back([this, s = shard.get()]() { WorkerMain(s); });
+  explicit RoundGate(std::vector<std::unique_ptr<Shard>>* shards)
+      : shards_(shards),
+        spin_(shards->size() <=
+              std::max(1u, std::thread::hardware_concurrency())) {
+    workers_.reserve(shards_->size() - 1);
+    for (size_t s = 1; s < shards_->size(); ++s) {
+      workers_.emplace_back(
+          [this, shard = (*shards_)[s].get()]() { WorkerMain(shard); });
     }
   }
 
-  ~WorkerPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      quit_ = true;
-    }
-    cv_start_.notify_all();
-    for (std::thread& t : threads_) t.join();
+  ~RoundGate() {
+    quit_ = true;
+    round_.fetch_add(1, std::memory_order_release);
+    round_.notify_all();
+    for (std::thread& t : workers_) t.join();
   }
 
-  /// Runs one round on every shard; returns when all are parked again.
+  /// Runs one round on every shard; returns when all reached the barrier.
   void RunRound(double barrier, bool to_completion) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+    if (!workers_.empty()) {
       barrier_ = barrier;
       to_completion_ = to_completion;
-      done_ = 0;
-      ++seq_;
+      pending_.store(static_cast<uint32_t>(workers_.size()),
+                     std::memory_order_relaxed);
+      round_.fetch_add(1, std::memory_order_release);
+      round_.notify_all();
     }
-    cv_start_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this]() { return done_ == shards_->size(); });
+    (*shards_)[0]->RunRound(barrier, to_completion);
+    if (!workers_.empty()) {
+      Await(pending_, [](uint32_t v) { return v == 0; });
+    }
   }
 
  private:
+  /// Spin budget before a waiter parks: long enough to cover the
+  /// coordinator's serial part of a small coupled round, short enough
+  /// that a waiter on a long round burns little CPU before it sleeps.
+  static constexpr std::chrono::microseconds kSpinBudget{20};
+
   void WorkerMain(Shard* shard) {
-    uint64_t seen = 0;
+    uint32_t seen = 0;
     for (;;) {
-      double barrier;
-      bool to_completion;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_start_.wait(lock, [&]() { return quit_ || seq_ != seen; });
-        if (quit_) return;
-        seen = seq_;
-        barrier = barrier_;
-        to_completion = to_completion_;
+      seen = Await(round_, [seen](uint32_t v) { return v != seen; });
+      if (quit_) return;
+      shard->RunRound(barrier_, to_completion_);
+      if (pending_.fetch_sub(1, std::memory_order_release) == 1) {
+        pending_.notify_one();
       }
-      shard->RunRound(barrier, to_completion);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++done_;
-      }
-      cv_done_.notify_one();
     }
   }
 
+  /// Returns the first value of \p word satisfying \p done, loaded with
+  /// acquire: spins up to `kSpinBudget` (when spinning is on), then parks.
+  template <typename Done>
+  uint32_t Await(const std::atomic<uint32_t>& word, Done done) const {
+    uint32_t v = word.load(std::memory_order_acquire);
+    if (spin_ && !done(v)) {
+      const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+      while (!done(v) && std::chrono::steady_clock::now() < deadline) {
+        for (int i = 0; i < 64 && !done(v); ++i) {
+          CpuRelax();
+          v = word.load(std::memory_order_acquire);
+        }
+        if (!done(v)) {
+          std::this_thread::yield();
+          v = word.load(std::memory_order_acquire);
+        }
+      }
+    }
+    while (!done(v)) {
+      word.wait(v, std::memory_order_acquire);
+      v = word.load(std::memory_order_acquire);
+    }
+    return v;
+  }
+
   std::vector<std::unique_ptr<Shard>>* shards_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  uint64_t seq_ = 0;
-  uint64_t done_ = 0;
+  const bool spin_;
+  std::vector<std::thread> workers_;
+  std::atomic<uint32_t> round_{0};
+  std::atomic<uint32_t> pending_{0};
+  // Round parameters: written by the coordinator before it bumps
+  // `round_`, read by the workers after they observe the bump.
   double barrier_ = 0.0;
   bool to_completion_ = false;
   bool quit_ = false;
@@ -140,6 +190,7 @@ Result<MultiClientResult> RunPopulationSimulation(
   if (!schedule.ok()) return schedule.status();
   const DiskLayout* const layout = &schedule->layout;
   const BroadcastProgram* const program = &schedule->program;
+  BCAST_RETURN_IF_ERROR(CheckVersionCadence(params, *program));
 
   const uint64_t total = layout->TotalPages();
   obs::Stopwatch setup_watch;
@@ -340,13 +391,14 @@ Result<MultiClientResult> RunPopulationSimulation(
   bool first_round = true;
   double pull_origin = 0.0;
   bool fully_drained = false;
+  uint64_t rounds = 0;
   std::vector<UplinkMsg> msgs;
   std::unordered_map<uint64_t, UplinkDraw> uplink_draws;
 
   obs::Stopwatch run_watch;
   if (controller != nullptr) controller->Start();
   {
-    WorkerPool pool(&shards);
+    RoundGate gate(&shards);
     for (;;) {
       // The round barrier: the earliest upcoming coupling time. Pull
       // slot starts all become barriers (a service decision may fire at
@@ -372,7 +424,8 @@ Result<MultiClientResult> RunPopulationSimulation(
         to_completion = false;
       }
 
-      pool.RunRound(barrier, to_completion);
+      gate.RunRound(barrier, to_completion);
+      ++rounds;
       first_round = false;
 
       // Population liveness at the barrier, read by the controller's
@@ -480,7 +533,8 @@ Result<MultiClientResult> RunPopulationSimulation(
     // deliveries in the server simulation. Mirrors produced here have
     // no waiters left and are dropped.
     if (!fully_drained) {
-      pool.RunRound(0.0, /*to_completion=*/true);
+      gate.RunRound(0.0, /*to_completion=*/true);
+      ++rounds;
       server_sim.Run();
       pending_switches.clear();
       pending_mirrors.clear();
@@ -491,7 +545,7 @@ Result<MultiClientResult> RunPopulationSimulation(
       take_stats_sample(false, next_stats);
       last_stats_time = next_stats;
     }
-  }  // joins the worker pool
+  }  // joins the gate's workers
   timings.measured_seconds = run_watch.ElapsedSeconds();
 
   double end_time = server_sim.Now();
@@ -535,6 +589,7 @@ Result<MultiClientResult> RunPopulationSimulation(
   result.empty_slots = program->EmptySlots();
   result.end_time = end_time;
   result.events_dispatched = merged_events();
+  result.rounds = rounds;
   result.predicted_delay = schedule->predicted_delay;
   result.resolved_queue = resolved_queue;
   if (observers.profile_des) {
@@ -559,6 +614,8 @@ void AppendPopulationExtras(const PopParams& pop,
   report->extra.emplace_back("pop_clients", static_cast<double>(n));
   report->extra.emplace_back("pop_shards", static_cast<double>(shards));
   report->extra.emplace_back("pop_engine", pop.UseEngine() ? 1.0 : 0.0);
+  report->extra.emplace_back("pop_rounds",
+                             static_cast<double>(result.rounds));
 
   // The heaviest single client: its total accumulated measured wait.
   double max_flow = 0.0;

@@ -62,6 +62,7 @@ Status Shard::Build(const Rng& master) {
   deps.access_monitor = shared_.access_monitor;
   deps.server_faults = server_faults_.get();
   deps.cold_pages = shared_.cold_pages;
+  deps.finished_count = &finished_;
   if (hub_ != nullptr) {
     // Transport-attached requester: submits cross the SPSC queue to the
     // coordinator, which owns the per-client uplink loss streams (draw
@@ -149,14 +150,6 @@ void Shard::RunRound(double barrier, bool to_completion) {
                          "shard_unfinished",
                          to_completion ? sim_.Now() : barrier,
                          static_cast<double>(unfinished())));
-}
-
-uint64_t Shard::unfinished() const {
-  uint64_t n = 0;
-  for (const auto& world : worlds_) {
-    if (!world.client->finished()) ++n;
-  }
-  return n;
 }
 
 }  // namespace bcast::pop

@@ -14,10 +14,13 @@
 ///
 /// The engine drives a shard in *rounds*: the coordinator writes the
 /// round's mailbox (pending program switch, pending pull-delivery
-/// mirrors) while the worker is parked at the gate, then the worker
-/// applies the mailbox and runs its simulation to the round barrier.
-/// All cross-shard coupling happens at barriers; within a round the
-/// shard shares nothing mutable with anyone.
+/// mirrors) between rounds, then the shard's thread applies the mailbox
+/// and runs its simulation to the round barrier. All cross-shard
+/// coupling happens at barriers; within a round the shard shares
+/// nothing mutable with anyone. The engine's round gate (engine.cc)
+/// orders every mailbox write before the round that reads it and every
+/// shard write before the coordinator's next look, so shard state needs
+/// no atomics.
 
 #ifndef BCAST_POP_SHARD_H_
 #define BCAST_POP_SHARD_H_
@@ -73,8 +76,8 @@ class Shard {
   /// schedule-version tick chain. Call once, before the first round.
   Status Build(const Rng& master);
 
-  /// \name Round mailbox — coordinator-side, only while the worker is
-  /// parked at the gate (the gate's mutex publishes the writes).
+  /// \name Round mailbox — coordinator-side, only between rounds (the
+  /// gate's release/acquire round word publishes the writes).
   /// @{
 
   /// The coordinator's pull server transmits \p page in the slot ending
@@ -89,12 +92,13 @@ class Shard {
                    double at);
   /// @}
 
-  /// Worker-side: applies the mailbox, then runs the shard simulation —
+  /// Shard-thread side: applies the mailbox, then runs the shard simulation —
   /// to \p barrier, or to event-queue exhaustion when \p to_completion.
   void RunRound(double barrier, bool to_completion);
 
-  /// Clients of this shard that have not finished their runs.
-  uint64_t unfinished() const;
+  /// Clients of this shard that have not finished their runs: O(1),
+  /// from a count each client bumps as it finishes (on the worker).
+  uint64_t unfinished() const { return worlds_.size() - finished_; }
 
   uint64_t index() const { return index_; }
   uint64_t begin() const { return begin_; }
@@ -139,6 +143,8 @@ class Shard {
   std::unique_ptr<fault::ServerFaultPlane> server_faults_;
   std::unique_ptr<adapt::LossMonitor> loss_monitor_;
   std::vector<ClientWorld> worlds_;
+
+  uint64_t finished_ = 0;  ///< clients whose measured phase completed
 
   std::function<void()> version_tick_;
   uint64_t version_bumps_ = 0;

@@ -202,13 +202,27 @@ TEST(ProcessFaultTest, JitterIsLatencyNotLoss) {
 }
 
 TEST(ProcessFaultTest, VersionBumpsAreCountedAndHarmless) {
+  // At least the program's period (1110 slots here): every page airs
+  // between two bumps. Shorter cadences are rejected (next test).
   SimParams params = SmallParams();
-  params.fault.process.version_every = 800.0;
+  params.fault.process.version_every = 1500.0;
   auto r = RunSimulation(params);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->faults_active);
   EXPECT_GT(r->faults.version_bumps, 0u);
   EXPECT_EQ(r->metrics.requests(), params.measured_requests);
+}
+
+TEST(ProcessFaultTest, VersionCadenceShorterThanThePeriodIsRejected) {
+  // A bump restarts the cycle, so with bumps every 800 slots of a
+  // 1110-slot period the pages seated after slot 800 would never air.
+  SimParams params = SmallParams();
+  params.fault.process.version_every = 800.0;
+  auto r = RunSimulation(params);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  params.fault.process.version_every = 1110.0;
+  EXPECT_TRUE(RunSimulation(params).ok());
 }
 
 TEST(ProcessFaultTest, AllAxesComposedStillCompletes) {

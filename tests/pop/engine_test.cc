@@ -3,7 +3,8 @@
 // fault-only configurations the engine must be *bit-identical* to
 // `RunMultiClientSimulation`, for any shard count. Also covers the
 // engine-only observability surfaces: population report extras and the
-// stats-stream population fields.
+// stats-stream population fields; the round gate's invisibility across
+// thread counts on a coupled run; and the shard's O(1) liveness count.
 
 #include "pop/engine.h"
 
@@ -13,13 +14,19 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/status.h"
+#include "core/client_world.h"
 #include "core/multi_client.h"
 #include "obs/run_report.h"
 #include "obs/stats_stream.h"
 #include "pop/client_store.h"
 #include "pop/pop_params.h"
+#include "pop/shard.h"
 #include "tests/pop/population_test_util.h"
 
 namespace bcast::pop {
@@ -86,6 +93,29 @@ TEST(PopulationEngineTest, MatchesLegacyUnderScheduleVersionBumps) {
   MultiClientParams params = MakePopulation(6);
   params.fault.process.version_every = 20000.0;
   ExpectEngineMatchesLegacy(params);
+}
+
+TEST(PopulationEngineTest, RejectsAVersionCadenceShorterThanThePeriod) {
+  // Both runners check the cadence against the built program before the
+  // first event; one slot short of the period used to hang a client
+  // whose pages sat late in the cycle.
+  MultiClientParams params = MakePopulation(3);
+  auto schedule = BuildPopulationSchedule(params, /*with_pull=*/true);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  const double period = static_cast<double>(schedule->program.period());
+  PopParams pop;
+  pop.clients = 3;
+  pop.shards = 2;
+  params.fault.process.version_every = period - 1.0;
+  auto legacy = RunMultiClientSimulation(params);
+  auto engine = RunPopulationSimulation(params, pop);
+  ASSERT_FALSE(legacy.ok());
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(legacy.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  params.fault.process.version_every = period;
+  EXPECT_TRUE(RunMultiClientSimulation(params).ok());
+  EXPECT_TRUE(RunPopulationSimulation(params, pop).ok());
 }
 
 TEST(PopulationEngineTest, MatchesLegacyWithReceiverClasses) {
@@ -270,6 +300,96 @@ TEST(PopulationEngineTest, StatsObservationDoesNotPerturbTheRun) {
     return SimulationBytes(std::move(report));
   };
   EXPECT_EQ(normalized(*observed), normalized(*unobserved));
+}
+
+// A coupled configuration with thousands of barrier rounds: a shared
+// pull server behind a lossy uplink, and the adaptive controller.
+MultiClientParams CoupledPopulation(uint64_t n) {
+  MultiClientParams params = MakePopulation(n);
+  params.measured_requests = 300;
+  params.fault.loss = 0.05;
+  params.pull.pull_slots = 2;
+  params.adapt.epoch_cycles = 4;
+  return params;
+}
+
+TEST(PopulationEngineTest, RoundGateLeavesNoTraceInResults) {
+  // K=1 runs every round on the calling thread with no worker at all;
+  // K=2 hands a shard to a worker that spins before it parks; more
+  // threads than the host has park at once; K at or above the client
+  // count is clamped to one client per shard. The gate must be
+  // invisible: same report, same round count, bit for bit.
+  const uint64_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const uint64_t n = hw + 2;
+  const MultiClientParams params = CoupledPopulation(n);
+  auto run = [&params, n](uint64_t k, uint64_t* rounds) {
+    PopParams pop;
+    pop.clients = n;
+    pop.shards = k;
+    pop.force_engine = true;
+    auto result = RunPopulationSimulation(params, pop);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    *rounds = result->rounds;
+    obs::RunReport report =
+        MakePopulationRunReport(params, *result, "pop_test", "test");
+    AppendPopulationExtras(pop, *result, &report);
+    EXPECT_EQ(ExtraOr(report, "pop_rounds", -1.0),
+              static_cast<double>(result->rounds));
+    return SimulationBytes(std::move(report));
+  };
+  uint64_t rounds_k1 = 0;
+  const std::string k1 = run(1, &rounds_k1);
+  EXPECT_GT(rounds_k1, 1000u);
+  for (uint64_t k : {uint64_t{2}, hw + 1, n, n + 3}) {
+    uint64_t rounds = 0;
+    EXPECT_EQ(run(k, &rounds), k1) << "shards=" << k;
+    EXPECT_EQ(rounds, rounds_k1) << "shards=" << k;
+  }
+}
+
+TEST(PopulationEngineTest, UncoupledRunIsOneRound) {
+  PopParams pop;
+  pop.clients = 6;
+  pop.shards = 3;
+  auto result = RunPopulationSimulation(MakePopulation(6), pop);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rounds, 1u);
+}
+
+TEST(ShardTest, UnfinishedCountMatchesAScanOfItsClients) {
+  // The coordinator reads every shard's unfinished count after every
+  // round; it is kept as clients finish, and must equal the walk over
+  // the shard's clients it replaced, at every barrier.
+  MultiClientParams params = MakePopulation(6);
+  params.measured_requests = 50;
+  auto schedule = BuildPopulationSchedule(params, /*with_pull=*/true);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  const std::vector<bool> cold_pages = ColdPages(params, schedule->program);
+  ShardShared shared;
+  shared.params = &params;
+  shared.layout = &schedule->layout;
+  shared.program = &schedule->program;
+  shared.hybrid = &schedule->hybrid;
+  shared.cold_pages = &cold_pages;
+  ClientStore store(6, 1, {}, /*need_pull=*/false, /*need_cold=*/false);
+  Shard shard(0, 0, 6, shared, &store);
+  ASSERT_TRUE(shard.Build(Rng(params.seed)).ok());
+  auto scan = [&shard]() {
+    uint64_t n = 0;
+    for (uint64_t c = shard.begin(); c < shard.end(); ++c) {
+      if (!shard.world(c).client->finished()) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(shard.unfinished(), 6u);
+  bool saw_partial = false;
+  for (double barrier = 100.0; shard.unfinished() > 0; barrier += 100.0) {
+    ASSERT_LT(barrier, 1e7) << "shard never finished";
+    shard.RunRound(barrier, /*to_completion=*/false);
+    EXPECT_EQ(shard.unfinished(), scan()) << "barrier " << barrier;
+    saw_partial |= shard.unfinished() > 0 && shard.unfinished() < 6;
+  }
+  EXPECT_TRUE(saw_partial);  // clients finish in different rounds
 }
 
 }  // namespace

@@ -66,6 +66,13 @@ void MaybeRecordBackend(obs::RunReport* report, bool record,
       backend == des::QueueBackend::kCalendar ? 1.0 : 0.0);
 }
 
+// The exit code of a failed run: 2 when the runner rejected the
+// configuration before its first event (a usage error, like a bad flag),
+// 1 otherwise.
+int RunFailureExit(const Status& status) {
+  return status.code() == StatusCode::kInvalidArgument ? 2 : 1;
+}
+
 // Runs the population mode: `clients` specs whose interests are spread
 // evenly across the database. `pop` (clients already stamped) selects
 // the execution engine: the classic single-threaded runner, or the
@@ -89,7 +96,7 @@ int RunPopulation(const SimParams& base, const pop::PopParams& pop,
                     : RunMultiClientSimulation(params, observers);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
-    return 1;
+    return RunFailureExit(result.status());
   }
   // Per-client rows stay readable for paper-scale populations; a 100k
   // client run gets the aggregate lines only.
@@ -359,7 +366,7 @@ int Run(int argc, const char* const* argv) {
     last = RunSimulation(run, observers);
     if (!last.ok()) {
       std::cerr << last.status().ToString() << "\n";
-      return 1;
+      return RunFailureExit(last.status());
     }
     response.Add(last->metrics.mean_response_time());
     if (!have_aggregate) {
